@@ -10,11 +10,13 @@ build:
 test:
 	dune runtest
 
-# What CI runs: a full build plus the test suites and the telemetry
-# smoke (dashboard, chrome trace, prometheus exposition).
+# What CI runs: a full build plus the test suites (the benchmark's
+# own unittests included) and the telemetry smoke (dashboard, chrome
+# trace, prometheus exposition).
 check:
 	dune build @all
 	dune runtest
+	python3 -m unittest discover perfbench
 	$(MAKE) health-smoke
 	$(MAKE) explain-smoke
 	$(MAKE) fuzz-smoke

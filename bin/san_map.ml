@@ -252,12 +252,12 @@ let run_topo spec seed dot =
        0
        (Core_set.separated_set g));
   if oracle_feasible g then begin
-    Format.printf "diameter %d@." (Analysis.diameter g);
+    let d = Analysis.diameter g in
+    Format.printf "diameter %d@." d;
     match Graph.hosts g with
     | root :: _ ->
-      Format.printf "Q = %d, oracle search depth Q+D+1 = %d@."
-        (Core_set.q_bound g ~root)
-        (Core_set.search_depth g ~root)
+      let q = Core_set.q_bound g ~root in
+      Format.printf "Q = %d, oracle search depth Q+D+1 = %d@." q (q + d + 1)
     | [] -> ()
   end
   else

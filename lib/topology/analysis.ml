@@ -21,13 +21,44 @@ let distance g a b =
   let d = (bfs_distances g a).(b) in
   if d = max_int then None else Some d
 
-let eccentricity g n =
-  Array.fold_left
-    (fun acc d -> if d = max_int then acc else max acc d)
-    0 (bfs_distances g n)
-
+(* One BFS per node, all over a flattened adjacency ([adj] from
+   [off.(u)] to [off.(u+1)]) with one distance array and one int-array
+   queue reused across sources. *)
 let diameter g =
-  Graph.fold_nodes g ~init:0 ~f:(fun acc n -> max acc (eccentricity g n))
+  let n = Graph.num_nodes g in
+  let off = Array.make (n + 1) 0 in
+  let ports = Array.init n (Graph.wired_ports g) in
+  Array.iteri (fun u ps -> off.(u + 1) <- off.(u) + List.length ps) ports;
+  let adj = Array.make off.(n) 0 in
+  Array.iteri
+    (fun u ps -> List.iteri (fun k (_, (v, _)) -> adj.(off.(u) + k) <- v) ps)
+    ports;
+  let dist = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  let best = ref 0 in
+  for src = 0 to n - 1 do
+    Array.fill dist 0 n (-1);
+    dist.(src) <- 0;
+    queue.(0) <- src;
+    let tail = ref 1 in
+    let i = ref 0 in
+    while !i < !tail do
+      let u = queue.(!i) in
+      incr i;
+      let du = dist.(u) + 1 in
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = adj.(k) in
+        if dist.(v) < 0 then begin
+          dist.(v) <- du;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
+    done;
+    (* BFS settles nodes in distance order: the last one is farthest. *)
+    best := max !best dist.(queue.(!tail - 1))
+  done;
+  !best
 
 let components g =
   let n = Graph.num_nodes g in

@@ -53,51 +53,84 @@ let core_is_empty_f g = Array.for_all not (separated_set g)
 
 (* Flow network layout for Q(v):
    nodes 0..n-1 mirror the graph; n = sink-for-root, n+1 = sink-for-any-
-   host, n+2 = supersink, n+3 = source. *)
-let q_of g ~root v =
-  if not (Graph.is_host g root) then
-    invalid_arg "Core_set.q_of: root must be a host";
+   host, n+2 = supersink, n+3 = source. One network per variant serves
+   every v: [entry.(u)] is the source->u arc, closed (capacity 0) except
+   while u is queried, and [out_arcs.(u)] are u's wire arcs. *)
+type network = {
+  flow : Flow.t;
+  source : int;
+  sink : int;
+  out_arcs : Flow.arc list array;
+  entry : Flow.arc array;
+}
+
+let network g ~root ~force_root =
   let n = Graph.num_nodes g in
   let t_root = n and t_any = n + 1 and sink = n + 2 and source = n + 3 in
-  let build ~force_root =
-    let f = Flow.create (n + 4) in
-    (* A wire's two directed channels are distinct resources: the
-       confirming worm travels root->v then v->host and may cross a
-       wire once in each direction (the root's own cable does exactly
-       that in the first-edge/last-edge case), so each arc carries up
-       to one unit per walk — capacity 2. The exception is arcs leaving
-       [v]: the two walks must depart v through different wires, or the
-       concatenated worm would U-turn there (a turn-0 hop the mapper
-       never probes mid-route). *)
-    List.iter
-      (fun (((a, _), (b, _)) : edge) ->
-        Flow.add_arc f ~src:a ~dst:b ~cap:(if a = v then 1 else 2) ~cost:1;
-        Flow.add_arc f ~src:b ~dst:a ~cap:(if b = v then 1 else 2) ~cost:1)
-      (Graph.wires g);
-    if force_root then begin
-      Flow.add_arc f ~src:root ~dst:t_root ~cap:1 ~cost:0;
-      List.iter
-        (fun h -> Flow.add_arc f ~src:h ~dst:t_any ~cap:1 ~cost:0)
-        (Graph.hosts g);
-      Flow.add_arc f ~src:t_root ~dst:sink ~cap:1 ~cost:0;
-      Flow.add_arc f ~src:t_any ~dst:sink ~cap:1 ~cost:0
-    end
-    else
-      List.iter
-        (fun h -> Flow.add_arc f ~src:h ~dst:sink ~cap:1 ~cost:0)
-        (Graph.hosts g);
-    Flow.add_arc f ~src:source ~dst:v ~cap:2 ~cost:0;
-    f
+  let f = Flow.create (n + 4) in
+  let out_arcs = Array.make n [] in
+  (* A wire's two directed channels are distinct resources: the
+     confirming worm travels root->v then v->host and may cross a wire
+     once in each direction (the root's own cable does exactly that in
+     the first-edge/last-edge case), so each arc carries up to one unit
+     per walk — capacity 2. The exception is arcs leaving [v], which
+     [solve] narrows to 1: the two walks must depart v through
+     different wires, or the concatenated worm would U-turn there (a
+     turn-0 hop the mapper never probes mid-route). *)
+  let wire a b =
+    out_arcs.(a) <- Flow.new_arc f ~src:a ~dst:b ~cap:2 ~cost:1 :: out_arcs.(a)
   in
-  match Flow.min_cost_flow (build ~force_root:true) ~source ~sink ~amount:2 with
-  | Some c -> Some c
-  | None ->
-    Flow.min_cost_flow (build ~force_root:false) ~source ~sink ~amount:2
+  List.iter
+    (fun (((a, _), (b, _)) : edge) ->
+      wire a b;
+      wire b a)
+    (Graph.wires g);
+  if force_root then begin
+    Flow.add_arc f ~src:root ~dst:t_root ~cap:1 ~cost:0;
+    List.iter
+      (fun h -> Flow.add_arc f ~src:h ~dst:t_any ~cap:1 ~cost:0)
+      (Graph.hosts g);
+    Flow.add_arc f ~src:t_root ~dst:sink ~cap:1 ~cost:0;
+    Flow.add_arc f ~src:t_any ~dst:sink ~cap:1 ~cost:0
+  end
+  else
+    List.iter
+      (fun h -> Flow.add_arc f ~src:h ~dst:sink ~cap:1 ~cost:0)
+      (Graph.hosts g);
+  let entry =
+    Array.init n (fun u -> Flow.new_arc f ~src:source ~dst:u ~cap:0 ~cost:0)
+  in
+  { flow = f; source; sink; out_arcs; entry }
+
+let solve net v =
+  let set_v ~out ~entry =
+    List.iter (fun a -> Flow.set_cap net.flow a out) net.out_arcs.(v);
+    Flow.set_cap net.flow net.entry.(v) entry
+  in
+  set_v ~out:1 ~entry:2;
+  let q =
+    Flow.min_cost_flow net.flow ~source:net.source ~sink:net.sink ~amount:2
+  in
+  set_v ~out:2 ~entry:0;
+  q
+
+(* Each network is built at most once per call; the fallback only when
+   some vertex needs it. *)
+let q_of g ~root =
+  if not (Graph.is_host g root) then
+    invalid_arg "Core_set.q_of: root must be a host";
+  let forced = lazy (network g ~root ~force_root:true) in
+  let fallback = lazy (network g ~root ~force_root:false) in
+  fun v ->
+    match solve (Lazy.force forced) v with
+    | Some c -> Some c
+    | None -> solve (Lazy.force fallback) v
 
 let q_bound g ~root =
   let in_f = separated_set g in
+  let q_of = q_of g ~root in
   Graph.fold_nodes g ~init:0 ~f:(fun acc v ->
       if in_f.(v) then acc
-      else match q_of g ~root v with Some q -> max acc q | None -> acc)
+      else match q_of v with Some q -> max acc q | None -> acc)
 
 let search_depth g ~root = q_bound g ~root + Analysis.diameter g + 1

@@ -45,7 +45,11 @@ val q_of : Graph.t -> root:Graph.node -> Graph.node -> int option
     a search depth. *)
 
 val q_bound : Graph.t -> root:Graph.node -> int
-(** [Q] = max of [q_of] over the core. 0 for degenerate graphs. *)
+(** [Q] = max of [q_of] over the core. 0 for degenerate graphs. Builds
+    the flow network once per graph (and the fallback network once,
+    only if some vertex needs it) and re-solves it per core vertex,
+    changing only that vertex's arc capacities — unlike repeated
+    {!q_of} calls, which build a network each. *)
 
 val search_depth : Graph.t -> root:Graph.node -> int
 (** The oracle exploration depth [Q + D + 1]. *)

@@ -257,6 +257,73 @@ let test_q_values () =
   Alcotest.(check int) "Q bound" 2 (Core_set.q_bound g ~root:h0);
   Alcotest.(check int) "search depth = Q+D+1" 5 (Core_set.search_depth g ~root:h0)
 
+(* The oracle's values pinned from the plain Bellman-Ford solver: any
+   faster solver must reproduce every Q(v), Q and Q+D+1 exactly. Each
+   graph is rooted at its first host, as [san_map] does. *)
+let first_host g = List.hd (Graph.hosts g)
+
+let test_q_pinned_fabrics () =
+  let check name g ~q ~depth =
+    let root = first_host g in
+    Alcotest.(check int) (name ^ " Q") q (Core_set.q_bound g ~root);
+    Alcotest.(check int) (name ^ " Q+D+1") depth (Core_set.search_depth g ~root)
+  in
+  List.iter
+    (fun (name, q, depth) ->
+      let p = Option.get (San_fabric.Fabric.find_preset name) in
+      check name (p.p_build ~seed:1) ~q ~depth)
+    [
+      ("ft-100", 8, 15);
+      ("ft-1k", 12, 23);
+      ("ft-1k-degraded", 8, 15);
+      ("now-c", 6, 11);
+      ("now-ca", 7, 15);
+      ("now-cab", 10, 19);
+    ];
+  match San_fabric.Fabric.of_string "levels=3,radix=12,edge=54,hosts=6" with
+  | Ok spec -> check "ft-324" (San_fabric.Fabric.build ~seed:1 spec) ~q:14 ~depth:27
+  | Error e -> Alcotest.fail e
+
+let test_q_pinned_vectors () =
+  let check name g expected =
+    let root = first_host g in
+    Alcotest.(check (list (option int)))
+      (name ^ " Q(v) for every node") expected
+      (List.map (Core_set.q_of g ~root) (Graph.nodes g))
+  in
+  let s n = Some n in
+  check "now-c" (fst (Generators.now_c ()))
+    (List.map s
+       [ 2; 4; 4; 4; 4; 4; 4; 4; 4; 4; 6; 4; 6; 0; 2; 2; 2; 2; 4; 4; 4; 4; 4;
+         4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4;
+         4; 4; 4 ]);
+  check "mesh 4x5" (Generators.mesh ~rows:4 ~cols:5 ())
+    (List.map s
+       [ 3; 3; 4; 5; 6; 3; 4; 5; 6; 7; 4; 5; 6; 7; 8; 5; 6; 7; 8; 9; 0; 3; 4;
+         5; 6; 3; 4; 5; 6; 7; 4; 5; 6; 7; 8; 5; 6; 7; 8; 9 ]);
+  check "ccc3" (Generators.cube_connected_cycles ~dim:3 ())
+    (List.map s
+       [ 3; 3; 3; 3; 4; 4; 5; 4; 5; 6; 5; 6; 5; 5; 4; 6; 6; 5; 7; 6; 6; 8; 7;
+         7; 0; 3; 3; 3; 4; 4; 5; 4; 5; 6; 5; 6; 5; 5; 4; 6; 6; 5; 7; 6; 6; 8;
+         7; 7 ]);
+  check "pendant branch" (Generators.pendant_branch ())
+    [ s 2; s 3; s 0; s 2; s 3; None; None ]
+
+(* Q+D+1 at the fuzzer's mapper for seeds 1..200, pinned as a digest
+   of the comma-joined list (-1 where a case has no mapper). *)
+let test_q_pinned_fuzz () =
+  let depths =
+    List.init 200 (fun i ->
+        let c = San_check.Fuzz_gen.gen ~seed:(i + 1) in
+        match San_check.Fuzz_gen.mapper_node c with
+        | Some root -> Core_set.search_depth c.graph ~root
+        | None -> -1)
+  in
+  let joined = String.concat "," (List.map string_of_int depths) in
+  Alcotest.(check string) ("digest of " ^ joined)
+    "06b6967640f9a756b9407c5342b34fc0"
+    (Digest.to_hex (Digest.string joined))
+
 (* In a hostless *tree* tail even the direction-aware Q stays
    undefined: a worm into the tail can only come back through the
    port it would have to leave by again. *)
@@ -303,6 +370,23 @@ let test_flow_simple () =
   Alcotest.(check (option int)) "three units impossible" None
     (Flow.min_cost_flow f ~source:0 ~sink:3 ~amount:3);
   Alcotest.(check int) "max flow" 2 (Flow.max_flow_value f ~source:0 ~sink:3)
+
+(* The second path must run against the first one's 1->2 arc, a
+   residual arc of cost -1; a Dijkstra step is only sound on it
+   because the potentials make every reduced cost non-negative. *)
+let test_flow_negative_residual () =
+  let f = Flow.create 4 in
+  Flow.add_arc f ~src:0 ~dst:1 ~cap:1 ~cost:1;
+  Flow.add_arc f ~src:1 ~dst:2 ~cap:1 ~cost:1;
+  Flow.add_arc f ~src:2 ~dst:3 ~cap:1 ~cost:1;
+  Flow.add_arc f ~src:0 ~dst:2 ~cap:1 ~cost:3;
+  Flow.add_arc f ~src:1 ~dst:3 ~cap:1 ~cost:3;
+  for query = 1 to 3 do
+    Alcotest.(check (option int))
+      (Printf.sprintf "query %d: cancel 1->2" query)
+      (Some 8)
+      (Flow.min_cost_flow f ~source:0 ~sink:3 ~amount:2)
+  done
 
 let test_flow_rerouting () =
   (* Classic case where the second augmentation must push flow back. *)
@@ -681,12 +765,16 @@ let () =
           Alcotest.test_case "Q values" `Quick test_q_values;
           Alcotest.test_case "Q undefined in F" `Quick test_q_undefined_in_f;
           Alcotest.test_case "Q direction reuse" `Quick test_q_direction_reuse;
+          Alcotest.test_case "pinned depths: fabrics" `Quick test_q_pinned_fabrics;
+          Alcotest.test_case "pinned depths: Q vectors" `Quick test_q_pinned_vectors;
+          Alcotest.test_case "pinned depths: fuzz cases" `Quick test_q_pinned_fuzz;
           qcheck lemma1_prop;
         ] );
       ( "flow",
         [
           Alcotest.test_case "simple" `Quick test_flow_simple;
           Alcotest.test_case "rerouting" `Quick test_flow_rerouting;
+          Alcotest.test_case "negative residual" `Quick test_flow_negative_residual;
         ] );
       ( "iso",
         [

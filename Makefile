@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke artifacts examples clean
+.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-trace artifacts examples clean
 
 all: build
 
@@ -25,6 +25,7 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) slo-smoke
 	$(MAKE) cover-smoke
+	$(MAKE) perf-trace
 
 bench:
 	dune exec bench/main.exe
@@ -89,6 +90,15 @@ slo-smoke:
 	dune exec bin/san_map.exe -- daemon -t fat-tree:2:2:4 --epochs 8 \
 	  --quiet --load 1.0 --load-pattern hotspot --scenario storm --seed 5
 	test -s BENCH_obs.json
+
+# The benchmark's map path, traced, at CI length: a few seconds of
+# ft-324 maps run untraced and then with a span around every layer.
+# Exits 1 if a map is not isomorphic to N - F, if its exported JSON
+# does not load back, or if the traced run's deterministic work
+# (probes, explorations, simulated time, depth) differs from the
+# untraced run's. Spans land in .perfbench/ (gitignored).
+perf-trace:
+	python3 perfbench/run.py --workload map-ft324 --seconds 3 --trace 1
 
 # Budgeted mapping at CI size: a seeded 30%-budget ft-100 run (the CLI
 # exits non-zero unless the partial map passes the subgraph embedding

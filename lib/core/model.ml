@@ -58,21 +58,29 @@ let vertex t v =
   if v < 0 || v >= t.nverts then fail "no vertex %d" v;
   t.verts.(v)
 
-(* Union-find lookup accumulating frame shifts, with path compression. *)
-let rec find t v =
+(* Union-find root lookup with path compression: afterwards every
+   vertex on the path points at the root, its [pshift] accumulated to
+   the root's frame. *)
+let rec root t v =
   let vx = t.verts.(v) in
-  if vx.parent = v then (v, 0)
+  let p = vx.parent in
+  if p = v then v
   else begin
-    let r, s = find t vx.parent in
-    if vx.parent <> r then begin
-      vx.pshift <- vx.pshift + s;
+    let r = root t p in
+    if p <> r then begin
+      vx.pshift <- vx.pshift + t.verts.(p).pshift;
       vx.parent <- r
     end;
-    (r, vx.pshift)
+    r
   end
 
-let canonical t v = fst (find t v)
-let frame_shift t v = snd (find t v)
+(* The shift from [v]'s frame to its root [r]'s, read right after
+   [root t v] compressed the path. *)
+let shift_to t v r = if r = v then 0 else t.verts.(v).pshift
+
+let canonical t v = root t v
+
+let frame_shift t v = shift_to t v (root t v)
 
 let alloc t kind probe =
   let id = t.nverts in
@@ -130,7 +138,13 @@ let slot_add xv i e =
     fail "vertex %d: slot %d escapes the radix window" xv.v_id i
   else xv.slots.(idx) <- e :: xv.slots.(idx)
 
-let live_slot_edges l = List.filter (fun e -> not e.e_dead) l
+let has_live l = List.exists (fun e -> not e.e_dead) l
+
+(* More than one live edge: an actual port has one cable, so this slot
+   identifies two replicates. *)
+let rec two_live = function
+  | [] -> false
+  | e :: rest -> if e.e_dead then two_live rest else has_live rest
 
 (* Attach a fresh edge between two canonical (vertex, slot) ends and
    queue any slot conflict it creates. *)
@@ -146,11 +160,31 @@ let add_edge t (va, ia) (vb, ib) =
   narrow_window t xa ia;
   narrow_window t xb ib;
   slot_add xa ia e;
-  if List.length (live_slot_edges (slot_get xa ia)) > 1 then
-    Queue.add va t.mergelist;
+  if two_live (slot_get xa ia) then Queue.add va t.mergelist;
   slot_add xb ib e;
-  if List.length (live_slot_edges (slot_get xb ib)) > 1 then
-    Queue.add vb t.mergelist
+  if two_live (slot_get xb ib) then Queue.add vb t.mergelist
+
+(* Re-home the edges at [absorb]'s slot [i] to [keep]'s slot [tgt]. *)
+let rec rehome t ~keep ~absorb xk i tgt = function
+  | [] -> ()
+  | e :: rest ->
+    if not e.e_dead then begin
+      if e.ea = absorb && e.ia = i then begin
+        e.ea <- keep;
+        e.ia <- tgt
+      end;
+      if e.eb = absorb && e.ib = i then begin
+        e.eb <- keep;
+        e.ib <- tgt
+      end;
+      if e.ea = e.eb && e.ia = e.ib then
+        fail "merge wires slot (%d,%d) to itself" e.ea e.ia;
+      (* A self-edge of [absorb] is visited from both of its slots;
+         insert it only once per slot. *)
+      if not (List.memq e (slot_get xk tgt)) then slot_add xk tgt e;
+      if two_live (slot_get xk tgt) then Queue.add keep t.mergelist
+    end;
+    rehome t ~keep ~absorb xk i tgt rest
 
 (* Merge canonical [absorb] into canonical [keep]; [shift] converts
    absorb-frame slots into keep-frame slots. [why], when provenance is
@@ -180,31 +214,10 @@ let do_merge ?why t ~keep ~absorb ~shift =
        data-center-scale runs (only canonical vertices carry slots). *)
     let a_slots = xa.slots and a_base = xa.s_base in
     xa.slots <- [||];
-    Array.iteri
-      (fun idx edges ->
-        let i = idx - a_base in
-        let tgt = i + shift in
-        List.iter
-          (fun e ->
-            if not e.e_dead then begin
-              if e.ea = absorb && e.ia = i then begin
-                e.ea <- keep;
-                e.ia <- tgt
-              end;
-              if e.eb = absorb && e.ib = i then begin
-                e.eb <- keep;
-                e.ib <- tgt
-              end;
-              if e.ea = e.eb && e.ia = e.ib then
-                fail "merge wires slot (%d,%d) to itself" e.ea e.ia;
-              (* A self-edge of [absorb] is visited from both of its
-                 slots; insert it only once per slot. *)
-              if not (List.memq e (slot_get xk tgt)) then slot_add xk tgt e;
-              if List.length (live_slot_edges (slot_get xk tgt)) > 1 then
-                Queue.add keep t.mergelist
-            end)
-          edges)
-      a_slots;
+    for idx = 0 to Array.length a_slots - 1 do
+      let i = idx - a_base in
+      rehome t ~keep ~absorb xk i (i + shift) a_slots.(idx)
+    done;
     xa.parent <- keep;
     xa.pshift <- shift;
     t.n_verts_live <- t.n_verts_live - 1;
@@ -235,80 +248,94 @@ let kill_edge t e =
     Why.note_edge_dead ~eid:e.eid
   end
 
-let endpoints_key e =
-  let p1 = (e.ea, e.ia) and p2 = (e.eb, e.ib) in
-  if p1 <= p2 then (p1, p2) else (p2, p1)
+(* Do [e] and [f] join the same two slots — the same actual wire
+   found twice? *)
+let same_wire e f =
+  (e.ea = f.ea && e.ia = f.ia && e.eb = f.eb && e.ib = f.ib)
+  || (e.ea = f.eb && e.ia = f.ib && e.eb = f.ea && e.ib = f.ia)
+
+let rec wire_among e = function
+  | [] -> false
+  | f :: rest -> same_wire e f || wire_among e rest
+
+(* A clean slot holds no dead edge and no wire twice: deduplication
+   would hand it back unchanged, so the common case compares edges in
+   place and allocates nothing. *)
+let rec clean = function
+  | [] -> true
+  | e :: rest -> (not e.e_dead) && (not (wire_among e rest)) && clean rest
+
+(* Drop dead edges and kill every later copy of a wire, keeping the
+   survivors in slot order. *)
+let rec dedup t kept = function
+  | [] -> List.rev kept
+  | e :: rest ->
+    if e.e_dead then dedup t kept rest
+    else if wire_among e kept then begin
+      kill_edge t e;
+      dedup t kept rest
+    end
+    else dedup t (e :: kept) rest
+
+(* The far end of [e] seen from its end at slot [(c, i)]. *)
+let far_vertex e c i =
+  if e.ea = c && e.ia = i then e.eb
+  else if e.eb = c && e.ib = i then e.ea
+  else fail "edge %d not anchored at slot (%d,%d)" e.eid c i
+
+let far_slot e c i = if e.ea = c && e.ia = i then e.ib else e.ia
+
+(* The two edges at slot [(c, i)] join their far ends by one cable, so
+   those far ends are replicates, aligned so that slot j2 becomes j1. *)
+let merge_far_ends t c i e1 e2 =
+  let w1 = far_vertex e1 c i and w2 = far_vertex e2 c i in
+  let j1 = far_slot e1 c i and j2 = far_slot e2 c i in
+  let why =
+    if Why.on () then
+      Some
+        (fun () ->
+          Why.deduce ~rule:"d1_slot_conflict"
+            ~fact:
+              (lazy (Printf.sprintf
+                 "v%d = v%d (shift %d): slot (%d,%d) carries both cables"
+                 w1 w2 (j1 - j2) c i))
+            ~deps:
+              (List.filter_map (fun e -> Why.edge_did ~eid:e.eid) [ e1; e2 ])
+            ())
+    else None
+  in
+  do_merge ?why t ~keep:w1 ~absorb:w2 ~shift:(j1 - j2)
 
 (* Process one canonical vertex: deduplicate its slots and fire the
    first slot-conflict deduction found, if any.  Returns true if a
    merge fired (the caller re-queues and restarts). *)
 let process_vertex t c =
   let xc = vertex t c in
+  let slots = xc.slots in
   let fired = ref false in
-  let nslots = Array.length xc.slots in
   let idx = ref 0 in
-  while (not !fired) && !idx < nslots do
-    let i = !idx - xc.s_base in
-    (match xc.slots.(!idx) with
-    | [] -> ()
-    | l ->
-      (* Drop dead edges and duplicates (same actual wire found twice). *)
-      let seen = Hashtbl.create 4 in
-      let deduped =
-        List.filter
-          (fun e ->
-            if e.e_dead then false
-            else begin
-              let key = endpoints_key e in
-              if Hashtbl.mem seen key then begin
-                kill_edge t e;
-                false
-              end
-              else begin
-                Hashtbl.add seen key ();
-                true
-              end
-            end)
-          l
-      in
-      xc.slots.(!idx) <- deduped;
-      (match deduped with
-      | e1 :: e2 :: _ ->
-        let other e =
-          if e.ea = c && e.ia = i then (e.eb, e.ib)
-          else if e.eb = c && e.ib = i then (e.ea, e.ia)
-          else fail "edge %d not anchored at slot (%d,%d)" e.eid c i
-        in
-        let w1, j1 = other e1 and w2, j2 = other e2 in
-        (* An actual port has a single cable: the two far ends are
-           replicates, aligned so that slot j2 becomes slot j1. *)
-        let why =
-          if Why.on () then
-            Some
-              (fun () ->
-                Why.deduce ~rule:"d1_slot_conflict"
-                  ~fact:
-                    (lazy (Printf.sprintf
-                       "v%d = v%d (shift %d): slot (%d,%d) carries both cables"
-                       w1 w2 (j1 - j2) c i))
-                  ~deps:
-                    (List.filter_map
-                       (fun e -> Why.edge_did ~eid:e.eid)
-                       [ e1; e2 ])
-                  ())
-          else None
-        in
-        do_merge ?why t ~keep:w1 ~absorb:w2 ~shift:(j1 - j2);
-        fired := true
-      | [ _ ] | [] -> ()));
+  while (not !fired) && !idx < Array.length slots do
+    let l = slots.(!idx) in
+    let l =
+      if clean l then l
+      else begin
+        let kept = dedup t [] l in
+        slots.(!idx) <- kept;
+        kept
+      end
+    in
+    (match l with
+    | e1 :: e2 :: _ ->
+      merge_far_ends t c (!idx - xc.s_base) e1 e2;
+      fired := true
+    | [ _ ] | [] -> ());
     incr idx
   done;
   !fired
 
 let run_merge_loop t =
   while not (Queue.is_empty t.mergelist) do
-    let v = Queue.take t.mergelist in
-    let c, _ = find t v in
+    let c = root t (Queue.take t.mergelist) in
     let xc = vertex t c in
     if not xc.dead then
       if process_vertex t c then Queue.add c t.mergelist
@@ -364,7 +391,8 @@ let create ~mapper_name ~radix =
   t
 
 let add_switch_vertex t ~parent ~turn ~probe =
-  let p, s = find t parent in
+  let p = root t parent in
+  let s = shift_to t parent p in
   let child = alloc t Vswitch probe in
   add_edge t (p, turn + s) (child, 0);
   if Why.on () then begin
@@ -385,7 +413,8 @@ let add_switch_vertex t ~parent ~turn ~probe =
   child
 
 let add_host_vertex t ~parent ~turn ~probe ~name =
-  let p, s = find t parent in
+  let p = root t parent in
+  let s = shift_to t parent p in
   let child = alloc t (Vhost name) probe in
   add_edge t (p, turn + s) (child, 0);
   if Why.on () then begin
@@ -405,8 +434,8 @@ let add_host_vertex t ~parent ~turn ~probe ~name =
   (match Hashtbl.find_opt t.host_names name with
   | None -> Hashtbl.replace t.host_names name child
   | Some old ->
-    let oc, _ = find t old in
-    let cc, _ = find t child in
+    let oc = root t old in
+    let cc = root t child in
     if oc <> cc then begin
       let why =
         if Why.on () then
@@ -431,18 +460,16 @@ let is_explored t v = (vertex t (canonical t v)).explored
 let set_explored t v = (vertex t (canonical t v)).explored <- true
 let is_live t v = not (vertex t (canonical t v)).dead
 
-let slot_occupied t v i =
-  let c, _ = find t v in
-  live_slot_edges (slot_get (vertex t c) i) <> []
+let slot_occupied t v i = has_live (slot_get (vertex t (root t v)) i)
 
 let turn_slot t v turn = turn + frame_shift t v
 
 let neighbor_end_via t v ~slot =
-  let c, _ = find t v in
+  let c = root t v in
   let xc = vertex t c in
-  match live_slot_edges (slot_get xc slot) with
-  | [] -> None
-  | e :: _ ->
+  match List.find_opt (fun e -> not e.e_dead) (slot_get xc slot) with
+  | None -> None
+  | Some e ->
     let far, fslot =
       if e.ea = c && e.ia = slot then (e.eb, e.ib) else (e.ea, e.ia)
     in
@@ -454,9 +481,12 @@ let neighbor_via t v ~turn =
   Option.map fst (neighbor_end_via t v ~slot:(turn_slot t v turn))
 
 let offset_window t v =
-  let c, _ = find t v in
-  let xc = vertex t c in
+  let xc = vertex t (root t v) in
   (xc.wlo, xc.whi)
+
+let window_admits t v ~slot =
+  let xc = vertex t (root t v) in
+  xc.wlo + slot <= t.m_radix - 1 && xc.whi + slot >= 0
 
 let incident_edges t c =
   let xc = vertex t (canonical t c) in
@@ -583,12 +613,11 @@ let to_graph t =
       (* Every slot must have settled to at most one edge. *)
       Array.iteri
         (fun idx l ->
-          match live_slot_edges l with
-          | [] -> ()
-          | [ _ ] -> used_slots := (idx - xv.s_base) :: !used_slots
-          | _ ->
+          if two_live l then
             fail "unresolved replicates at slot (%d,%d): explore deeper" v
-              (idx - xv.s_base))
+              (idx - xv.s_base)
+          else if has_live l then
+            used_slots := (idx - xv.s_base) :: !used_slots)
         xv.slots;
       let used_slots = !used_slots in
       let node =

@@ -108,6 +108,10 @@ val offset_window : t -> vid -> int * int
     §3.3.3 heuristic state): every known slot [i] implies the offset
     lies in [[-i, radix-1-i]]. *)
 
+val window_admits : t -> vid -> slot:int -> bool
+(** Is class-frame [slot] a real port for some feasible offset — some
+    [o] in {!offset_window} with [0 <= o + slot < radix]? *)
+
 val degree : t -> vid -> int
 (** Live edges incident to the class (a same-switch edge counts once). *)
 

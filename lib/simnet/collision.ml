@@ -4,83 +4,97 @@ let model_to_string = function
   | Circuit -> "circuit"
   | Cut_through -> "cut-through"
 
-(* A directed channel is identified by the wire end the head exits
-   through; an undirected wire by the canonically ordered end pair. *)
-let directed_id (h : Worm.hop) = h.exit_end
+(* [seen.(ch) = epoch] marks channel [ch] as used by the walk under
+   check; each check takes a fresh epoch, so nothing is ever cleared.
+   [last.(ch)] is the hop index of that use (cut-through only). *)
+type t = {
+  model : model;
+  params : Params.t;
+  mutable seen : int array;
+  mutable last : int array;
+  mutable epoch : int;
+}
 
-let undirected_id (h : Worm.hop) =
-  if h.exit_end <= h.entry_end then (h.exit_end, h.entry_end)
-  else (h.entry_end, h.exit_end)
+let create model params =
+  { model; params; seen = [||]; last = [||]; epoch = 0 }
 
-(* The hop at which the path first reuses a channel (under [key]'s
-   notion of identity) — the place the self-collision happens. *)
-let find_duplicate key hops =
-  let tbl = Hashtbl.create 16 in
-  List.find_opt
-    (fun h ->
-      let id = key h in
-      if Hashtbl.mem tbl id then true
-      else begin
-        Hashtbl.add tbl id ();
-        false
-      end)
-    hops
+let model t = t.model
 
-(* Cut-through: the head enters channel c for hop index i at time
-   i * hop_latency; the tail clears it [drain] later.  A reuse at hop
-   j > i blocks iff the head returns before the tail cleared. *)
-let cut_through_blocking_hop params (trace : Worm.trace) =
-  let hops = Array.of_list trace.hops in
-  let drain =
-    Params.worm_drain_ns params ~route_flits:(Array.length hops)
-  in
-  if drain <= 0.0 then None
-  else begin
-    let last_use = Hashtbl.create 16 in
-    let blocked = ref None in
-    Array.iteri
-      (fun j h ->
-        let id = directed_id h in
-        (match Hashtbl.find_opt last_use id with
-        | Some i ->
-          let gap = float_of_int (j - i) *. Params.hop_latency_ns params in
-          if gap < drain && !blocked = None then blocked := Some h
-        | None -> ());
-        Hashtbl.replace last_use id j)
-      hops;
-    !blocked
+(* Make channel [ch] addressable; the table grows to the largest wire
+   end any checked walk has crossed. *)
+let reach t ch =
+  if ch >= Array.length t.seen then begin
+    let n = max (ch + 1) (2 * Array.length t.seen) in
+    let widen a = Array.append a (Array.make (n - Array.length a) 0) in
+    t.seen <- widen t.seen;
+    t.last <- widen t.last
   end
+
+(* Circuit: the first of hops [i, upto) whose key channel an earlier
+   hop already used, or -1. A directed channel is the exit end; a wire
+   is named by the smaller of its two ends. *)
+let rec first_reuse t w i ~upto ~directed =
+  if i >= upto then -1
+  else
+    let ch =
+      if directed then Worm.exit_channel w i
+      else min (Worm.exit_channel w i) (Worm.entry_channel w i)
+    in
+    reach t ch;
+    if t.seen.(ch) = t.epoch then i
+    else begin
+      t.seen.(ch) <- t.epoch;
+      first_reuse t w (i + 1) ~upto ~directed
+    end
+
+(* Cut-through: the head enters the channel of hop j at time
+   j * hop_latency; the tail clears it [drain] later. A reuse at hop
+   j > i blocks iff the head returns before the tail cleared. *)
+let rec first_early_return t w j ~drain =
+  if j >= Worm.hops w then -1
+  else
+    let ch = Worm.exit_channel w j in
+    reach t ch;
+    if
+      t.seen.(ch) = t.epoch
+      && float_of_int (j - t.last.(ch)) *. Params.hop_latency_ns t.params
+         < drain
+    then j
+    else begin
+      t.seen.(ch) <- t.epoch;
+      t.last.(ch) <- j;
+      first_early_return t w (j + 1) ~drain
+    end
+
+let blocking_hop t w ~upto ~directed =
+  t.epoch <- t.epoch + 1;
+  match t.model with
+  | Circuit -> first_reuse t w 0 ~upto ~directed
+  | Cut_through ->
+    let drain =
+      Params.worm_drain_ns t.params ~route_flits:(Worm.hops w)
+    in
+    if drain <= 0.0 then -1 else first_early_return t w 0 ~drain
 
 (* A blocking self-collision is charged to the directed channel the
    head was exiting through when it stepped on its own tail. *)
-let record fabric hop =
-  match hop with
-  | None -> false
-  | Some (h : Worm.hop) ->
-    (match fabric with
-    | Some f -> San_telemetry.Fabric_stats.collision f h.exit_end
-    | None -> ());
+let record fabric w hop =
+  if hop < 0 then false
+  else begin
+    let fabric =
+      match fabric with
+      | Some _ -> fabric
+      | None -> San_telemetry.Fabric_stats.current ()
+    in
+    Option.iter
+      (fun f -> San_telemetry.Fabric_stats.collision f (Worm.exit_end w hop))
+      fabric;
     true
+  end
 
-let host_probe_blocks ?fabric model params (trace : Worm.trace) =
-  let fabric =
-    match fabric with
-    | Some _ as f -> f
-    | None -> San_telemetry.Fabric_stats.current ()
-  in
-  match model with
-  | Circuit -> record fabric (find_duplicate directed_id trace.hops)
-  | Cut_through -> record fabric (cut_through_blocking_hop params trace)
+let host_probe_blocks ?fabric t w =
+  record fabric w (blocking_hop t w ~upto:(Worm.hops w) ~directed:true)
 
-let switch_probe_blocks ?fabric model params ~forward_hops (trace : Worm.trace)
-    =
-  let fabric =
-    match fabric with
-    | Some _ as f -> f
-    | None -> San_telemetry.Fabric_stats.current ()
-  in
-  match model with
-  | Circuit ->
-    let forward = List.filteri (fun i _ -> i < forward_hops) trace.hops in
-    record fabric (find_duplicate undirected_id forward)
-  | Cut_through -> record fabric (cut_through_blocking_hop params trace)
+let switch_probe_blocks ?fabric t ~forward_hops w =
+  record fabric w
+    (blocking_hop t w ~upto:(min forward_hops (Worm.hops w)) ~directed:false)

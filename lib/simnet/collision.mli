@@ -24,17 +24,26 @@ type model = Circuit | Cut_through
 
 val model_to_string : model -> string
 
+type t
+(** A collision checker: the model, the worm parameters, and a
+    per-channel scratch table reused by every check, so a check
+    allocates nothing. *)
+
+val create : model -> Params.t -> t
+val model : t -> model
+
 val host_probe_blocks :
-  ?fabric:San_telemetry.Fabric_stats.t -> model -> Params.t -> Worm.trace ->
-  bool
-(** Does this host-probe worm block on itself? A blocking collision is
-    charged to the directed channel where the head stepped on its tail
-    in [fabric] (default: the process-wide
-    {!San_telemetry.Fabric_stats.current} slot, if installed). *)
+  ?fabric:San_telemetry.Fabric_stats.t -> t -> Worm.walker -> bool
+(** Does the walker's last walk, taken as a host-probe worm, block on
+    itself? A blocking collision is charged to the directed channel
+    where the head stepped on its tail in [fabric] (default: the
+    process-wide {!San_telemetry.Fabric_stats.current} slot, if
+    installed). *)
 
 val switch_probe_blocks :
-  ?fabric:San_telemetry.Fabric_stats.t -> model -> Params.t ->
-  forward_hops:int -> Worm.trace -> bool
-(** Does this loopback worm block on itself? [forward_hops] is the
-    number of wire crossings of the outbound half (k+1 for a probe of
-    k turns). Collision attribution as in {!host_probe_blocks}. *)
+  ?fabric:San_telemetry.Fabric_stats.t -> t -> forward_hops:int ->
+  Worm.walker -> bool
+(** Does the walker's last walk, taken as a loopback worm, block on
+    itself? [forward_hops] is the number of wire crossings of the
+    outbound half (k+1 for a probe of k turns). Collision attribution
+    as in {!host_probe_blocks}. *)

@@ -4,7 +4,6 @@ type response = Switch | Host of string | Nothing
 
 type t = {
   net_graph : Graph.t;
-  net_model : Collision.model;
   net_params : Params.t;
   responding : Graph.node -> bool;
   slowdown : float;
@@ -13,6 +12,8 @@ type t = {
   run_bias : float;
   net_stats : Stats.t;
   net_fabric : San_telemetry.Fabric_stats.t option;
+  walker : Worm.walker;  (* the last probe's channels *)
+  collide : Collision.t;
 }
 
 let create ?(model = Collision.Circuit) ?(params = Params.default)
@@ -34,7 +35,6 @@ let create ?(model = Collision.Circuit) ?(params = Params.default)
   in
   {
     net_graph = g;
-    net_model = model;
     net_params = params;
     responding;
     slowdown = software_slowdown;
@@ -46,6 +46,8 @@ let create ?(model = Collision.Circuit) ?(params = Params.default)
       (match fabric with
       | Some _ as f -> f
       | None -> San_telemetry.Fabric_stats.current ());
+    walker = Worm.walker ();
+    collide = Collision.create model params;
   }
 
 (* Cross-traffic: a probe survives each wire crossing independently.
@@ -68,22 +70,22 @@ let jittered t cost =
 let graph t = t.net_graph
 let stats t = t.net_stats
 let params t = t.net_params
-let model t = t.net_model
+let model t = Collision.model t.collide
 let reset_stats t = Stats.reset t.net_stats
 
 (* Per-channel accounting for the analytic front end: every wire
    crossing the worm actually made transits the forward channel (the
    hop's exit end); a hit means the reply retraced, transiting each
    reverse channel (the hop's entry end) too. *)
-let fabric_transits t ?(reply = false) (trace : Worm.trace) =
+let fabric_transits t ~reply =
   match t.net_fabric with
   | None -> ()
   | Some f ->
-    List.iter
-      (fun (h : Worm.hop) ->
-        San_telemetry.Fabric_stats.transit f h.Worm.exit_end;
-        if reply then San_telemetry.Fabric_stats.transit f h.Worm.entry_end)
-      trace.hops
+    let w = t.walker in
+    for i = 0 to Worm.hops w - 1 do
+      San_telemetry.Fabric_stats.transit f (Worm.exit_end w i);
+      if reply then San_telemetry.Fabric_stats.transit f (Worm.entry_end w i)
+    done
 
 let probe_cost_hit t ~hops =
   let p = t.net_params in
@@ -99,176 +101,119 @@ let probe_cost_miss t =
    per-network [Stats] record stays the per-run compatibility view
    (walk and loop probes count in the host and switch columns they
    occupy on the wire), while the global registry and tracer see the
-   finer-grained kind. *)
-let account t ~(kind : San_obs.Trace.probe_kind) ~hit ~cost =
+   finer-grained kind. Charges [cost] (jittered) and answers it. *)
+let account t ~(kind : San_obs.Trace.probe_kind) ~hit cost =
+  let cost = jittered t cost in
+  (* A hit's reply retraces the walk, except a loopback's: its route
+     already contains its own retrace, so the walk is the whole
+     journey. *)
+  fabric_transits t ~reply:(hit && kind <> San_obs.Trace.Switch);
   let st = t.net_stats in
-  (match kind with
-  | San_obs.Trace.Host | San_obs.Trace.Walk ->
+  let host =
+    match kind with
+    | San_obs.Trace.Host | San_obs.Trace.Walk -> true
+    | San_obs.Trace.Switch | San_obs.Trace.Loop -> false
+  in
+  if host then begin
     st.Stats.host_probes <- st.Stats.host_probes + 1;
     if hit then st.Stats.host_hits <- st.Stats.host_hits + 1
-  | San_obs.Trace.Switch | San_obs.Trace.Loop ->
-    st.Stats.switch_probes <- st.Stats.switch_probes + 1;
-    if hit then st.Stats.switch_hits <- st.Stats.switch_hits + 1);
-  Stats.add_time st cost;
-  if San_obs.Obs.on () then begin
-    let stem =
-      match kind with
-      | San_obs.Trace.Host | San_obs.Trace.Walk -> "net.host"
-      | San_obs.Trace.Switch | San_obs.Trace.Loop -> "net.switch"
-    in
-    San_obs.Obs.count (stem ^ "_probes");
-    if hit then San_obs.Obs.count (stem ^ "_hits");
-    San_obs.Obs.observe "net.probe_cost_ns" cost;
-    San_obs.Obs.emit (San_obs.Trace.Probe_sent { kind; hit; cost_ns = cost })
-  end
-
-let host_probe t ~src ~turns =
-  let trace = Worm.eval t.net_graph ~src ~turns:(Route.host_probe turns) in
-  let success =
-    match trace.outcome with
-    | Worm.Arrived h ->
-      if
-        Collision.host_probe_blocks ?fabric:t.net_fabric t.net_model
-          t.net_params trace
-      then None
-      else if t.responding h then Some (Graph.name t.net_graph h)
-      else None
-    | Worm.Illegal_turn _ | Worm.No_such_wire _ | Worm.Hit_host_too_soon _
-    | Worm.Stranded _ | Worm.Unwired_source ->
-      None
-  in
-  let success =
-    match success with
-    | Some name when survives_traffic t ~crossings:(2 * List.length trace.hops)
-      ->
-      Some name
-    | Some _ | None -> None
-  in
-  match success with
-  | Some name ->
-    (* Round trip: the reply retraces the same number of wire
-       crossings in the opposite direction. *)
-    let hops = 2 * List.length trace.hops in
-    let cost = jittered t (probe_cost_hit t ~hops) in
-    fabric_transits t ~reply:true trace;
-    account t ~kind:San_obs.Trace.Host ~hit:true ~cost;
-    (Host name, cost)
-  | None ->
-    let cost = jittered t (probe_cost_miss t) in
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Host ~hit:false ~cost;
-    (Nothing, cost)
-
-let walk_probe t ~src ~turns =
-  let trace = Worm.eval t.net_graph ~src ~turns in
-  let answer =
-    match trace.outcome with
-    | Worm.Arrived h when t.responding h ->
-      Some (Graph.name t.net_graph h, List.length turns, List.length trace.hops)
-    | Worm.Hit_host_too_soon (idx, h) when t.responding h ->
-      (* The §6 firmware tweak: the host reads the early worm and
-         answers with its identity and the consumed prefix length. *)
-      Some (Graph.name t.net_graph h, idx, List.length trace.hops)
-    | Worm.Arrived _ | Worm.Hit_host_too_soon _ | Worm.Illegal_turn _
-    | Worm.No_such_wire _ | Worm.Stranded _ | Worm.Unwired_source ->
-      None
-  in
-  let answer =
-    match answer with
-    | Some _
-      when Collision.host_probe_blocks ?fabric:t.net_fabric t.net_model
-             t.net_params trace ->
-      None
-    | a -> a
-  in
-  let answer =
-    match answer with
-    | Some (name, consumed, hops)
-      when survives_traffic t ~crossings:(2 * hops) ->
-      Some (name, consumed)
-    | Some _ | None -> None
-  in
-  match answer with
-  | Some (name, consumed) ->
-    let cost = jittered t (probe_cost_hit t ~hops:(2 * List.length trace.hops)) in
-    fabric_transits t ~reply:true trace;
-    account t ~kind:San_obs.Trace.Walk ~hit:true ~cost;
-    (Some (name, consumed), cost)
-  | None ->
-    let cost = jittered t (probe_cost_miss t) in
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Walk ~hit:false ~cost;
-    (None, cost)
-
-let loop_probe t ~src ~turns ~turn =
-  let trace = Worm.eval t.net_graph ~src ~turns in
-  let answer =
-    match trace.outcome with
-    | Worm.Arrived _ | Worm.Illegal_turn _ | Worm.No_such_wire _
-    | Worm.Hit_host_too_soon _ | Worm.Unwired_source ->
-      None
-    | Worm.Stranded sw -> (
-      (* The worm's head sits at [sw], which it entered through the
-         last hop's entry end. *)
-      match List.rev trace.hops with
-      | [] -> None
-      | last :: _ ->
-        let _, in_port = last.Worm.entry_end in
-        let out_port = in_port + turn in
-        if out_port < 0 || out_port >= Graph.radix t.net_graph then None
-        else (
-          match Graph.neighbor t.net_graph (sw, out_port) with
-          | Some (peer, q) when peer = sw -> Some (q - out_port)
-          | Some _ | None -> None))
-  in
-  let answer =
-    match answer with
-    | Some d
-      when survives_traffic t ~crossings:(2 * (List.length trace.hops + 1)) ->
-      Some d
-    | Some _ | None -> None
-  in
-  match answer with
-  | Some d ->
-    let cost = jittered t (probe_cost_hit t ~hops:(2 * (List.length trace.hops + 1))) in
-    fabric_transits t ~reply:true trace;
-    account t ~kind:San_obs.Trace.Loop ~hit:true ~cost;
-    (Some d, cost)
-  | None ->
-    let cost = jittered t (probe_cost_miss t) in
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Loop ~hit:false ~cost;
-    (None, cost)
-
-let switch_probe t ~src ~turns =
-  let route = Route.switch_probe turns in
-  let trace = Worm.eval t.net_graph ~src ~turns:route in
-  let forward_hops = List.length turns + 1 in
-  let success =
-    match trace.outcome with
-    | Worm.Arrived h ->
-      h = src
-      && not
-           (Collision.switch_probe_blocks ?fabric:t.net_fabric t.net_model
-              t.net_params ~forward_hops trace)
-    | Worm.Illegal_turn _ | Worm.No_such_wire _ | Worm.Hit_host_too_soon _
-    | Worm.Stranded _ | Worm.Unwired_source ->
-      false
-  in
-  let success =
-    success && survives_traffic t ~crossings:(List.length trace.hops)
-  in
-  if success then begin
-    let cost = jittered t (probe_cost_hit t ~hops:(List.length trace.hops)) in
-    (* A loopback probe's route already contains its own retrace, so
-       the forward pass over [trace.hops] is the whole journey. *)
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Switch ~hit:true ~cost;
-    (Switch, cost)
   end
   else begin
-    let cost = jittered t (probe_cost_miss t) in
-    fabric_transits t trace;
-    account t ~kind:San_obs.Trace.Switch ~hit:false ~cost;
-    (Nothing, cost)
+    st.Stats.switch_probes <- st.Stats.switch_probes + 1;
+    if hit then st.Stats.switch_hits <- st.Stats.switch_hits + 1
+  end;
+  Stats.add_time st cost;
+  if San_obs.Obs.on () then begin
+    San_obs.Obs.count (if host then "net.host_probes" else "net.switch_probes");
+    if hit then
+      San_obs.Obs.count (if host then "net.host_hits" else "net.switch_hits");
+    San_obs.Obs.observe "net.probe_cost_ns" cost;
+    San_obs.Obs.emit (San_obs.Trace.Probe_sent { kind; hit; cost_ns = cost })
+  end;
+  cost
+
+let miss t ~kind = account t ~kind ~hit:false (probe_cost_miss t)
+
+(* A hit's reply retraces the request, so the exchange crosses [hops]
+   wires twice. *)
+let round_trip t ~kind ~hops =
+  account t ~kind ~hit:true (probe_cost_hit t ~hops:(2 * hops))
+
+let host_probe t ~src ~turns =
+  let w = t.walker in
+  Worm.walk w t.net_graph ~src ~turns:(Route.host_probe turns);
+  let kind = San_obs.Trace.Host in
+  match Worm.ending w with
+  | Worm.Reached_host
+    when (not
+            (Collision.host_probe_blocks ?fabric:t.net_fabric t.collide w))
+         && t.responding (Worm.at w)
+         && survives_traffic t ~crossings:(2 * Worm.hops w) ->
+    let name = Graph.name t.net_graph (Worm.at w) in
+    let cost = round_trip t ~kind ~hops:(Worm.hops w) in
+    (Host name, cost)
+  | _ -> (Nothing, miss t ~kind)
+
+let walk_probe t ~src ~turns =
+  let w = t.walker in
+  Worm.walk w t.net_graph ~src ~turns;
+  let kind = San_obs.Trace.Walk in
+  let consumed =
+    match Worm.ending w with
+    | Worm.Reached_host when t.responding (Worm.at w) -> List.length turns
+    | Worm.Host_too_soon when t.responding (Worm.at w) ->
+      (* The §6 firmware tweak: the host reads the early worm and
+         answers with its identity and the consumed prefix length. *)
+      Worm.index w
+    | _ -> -1
+  in
+  if
+    consumed >= 0
+    && (not (Collision.host_probe_blocks ?fabric:t.net_fabric t.collide w))
+    && survives_traffic t ~crossings:(2 * Worm.hops w)
+  then begin
+    let name = Graph.name t.net_graph (Worm.at w) in
+    let cost = round_trip t ~kind ~hops:(Worm.hops w) in
+    (Some (name, consumed), cost)
   end
+  else (None, miss t ~kind)
+
+let loop_probe t ~src ~turns ~turn =
+  let w = t.walker in
+  let g = t.net_graph in
+  Worm.walk w g ~src ~turns;
+  let kind = San_obs.Trace.Loop in
+  let hops = Worm.hops w in
+  let reentry =
+    match Worm.ending w with
+    | Worm.Stopped_at_switch -> (
+      (* The worm's head sits at [sw], which it entered through the
+         last hop's entry end. *)
+      let sw = Worm.at w in
+      let out_port = snd (Worm.entry_end w (hops - 1)) + turn in
+      if out_port < 0 || out_port >= Graph.radix g then None
+      else
+        match Graph.peer g sw out_port with
+        | Some (peer, q) when peer = sw -> Some (q - out_port)
+        | Some _ | None -> None)
+    | _ -> None
+  in
+  match reentry with
+  | Some d when survives_traffic t ~crossings:(2 * (hops + 1)) ->
+    let cost = round_trip t ~kind ~hops:(hops + 1) in
+    (Some d, cost)
+  | Some _ | None -> (None, miss t ~kind)
+
+let switch_probe t ~src ~turns =
+  let w = t.walker in
+  Worm.walk_loopback w t.net_graph ~src ~turns;
+  let kind = San_obs.Trace.Switch in
+  match Worm.ending w with
+  | Worm.Reached_host
+    when Worm.at w = src
+         && (not
+               (Collision.switch_probe_blocks ?fabric:t.net_fabric t.collide
+                  ~forward_hops:(List.length turns + 1) w))
+         && survives_traffic t ~crossings:(Worm.hops w) ->
+    (Switch, account t ~kind ~hit:true (probe_cost_hit t ~hops:(Worm.hops w)))
+  | _ -> (Nothing, miss t ~kind)

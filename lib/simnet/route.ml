@@ -5,24 +5,26 @@ let host_probe turns = turns
 
 let switch_probe turns = turns @ (0 :: List.rev_map (fun a -> -a) turns)
 
-let is_switch_probe_shape route =
-  let n = List.length route in
-  n mod 2 = 1
-  &&
-  let arr = Array.of_list route in
-  let k = n / 2 in
-  arr.(k) = 0
-  &&
-  let ok = ref true in
-  for i = 0 to k - 1 do
-    if arr.(n - 1 - i) <> -arr.(i) then ok := false
-  done;
-  !ok
+(* One walk with two cursors: [fast] moves two turns per step, so when
+   it has a single turn left [slow] sits on the middle one. [back]
+   collects the turns [slow] passed, nearest first — the order in which
+   the retrace negates them. *)
+let rec split_loopback back slow fast =
+  match (slow, fast) with
+  | 0 :: retrace, [ _ ] -> if mirrors back retrace then Some back else None
+  | a :: slow, _ :: _ :: fast -> split_loopback (a :: back) slow fast
+  | _ -> None
+
+and mirrors back retrace =
+  match (back, retrace) with
+  | [], [] -> true
+  | a :: back, b :: retrace -> b = -a && mirrors back retrace
+  | _ -> false
+
+let is_switch_probe_shape route = split_loopback [] route route <> None
 
 let forward_of_switch_probe route =
-  if is_switch_probe_shape route then
-    Some (List.filteri (fun i _ -> i < List.length route / 2) route)
-  else None
+  Option.map List.rev (split_loopback [] route route)
 
 let valid ~radix route =
   List.for_all (fun a -> a > -radix && a < radix) route

@@ -63,15 +63,15 @@ let host_by_name t s = Hashtbl.find_opt t.by_name s
 
 let ports_of t n = Array.length (info t n).peers
 
-let check_port t (n, p) =
+let check_port t n p =
   let i = info t n in
   if p < 0 || p >= Array.length i.peers then
     invalid_arg
       (Printf.sprintf "Graph: port %d out of range on node %d" p n)
 
 let connect t ((n1, p1) as e1) ((n2, p2) as e2) =
-  check_port t e1;
-  check_port t e2;
+  check_port t n1 p1;
+  check_port t n2 p2;
   if n1 = n2 && p1 = p2 then
     invalid_arg "Graph.connect: wire ends must be distinct";
   let i1 = t.infos.(n1) and i2 = t.infos.(n2) in
@@ -83,8 +83,8 @@ let connect t ((n1, p1) as e1) ((n2, p2) as e2) =
   i2.peers.(p2) <- Some e1;
   t.wire_count <- t.wire_count + 1
 
-let disconnect t ((n, p) as e) =
-  check_port t e;
+let disconnect t (n, p) =
+  check_port t n p;
   match t.infos.(n).peers.(p) with
   | None -> ()
   | Some (n', p') ->
@@ -113,9 +113,11 @@ let num_hosts t = count_kind t Host
 let num_switches t = count_kind t Switch
 let num_wires t = t.wire_count
 
-let neighbor t ((n, p) as e) =
-  check_port t e;
+let peer t n p =
+  check_port t n p;
   t.infos.(n).peers.(p)
+
+let neighbor t (n, p) = peer t n p
 
 let degree t n =
   let i = info t n in

@@ -71,6 +71,10 @@ val ports_of : t -> node -> int
 val neighbor : t -> wire_end -> wire_end option
 (** The wire end on the far side of the wire plugged in here, if any. *)
 
+val peer : t -> node -> port -> wire_end option
+(** [peer g n p] is [neighbor g (n, p)] without building the pair: the
+    worm walker's per-hop lookup. *)
+
 val degree : t -> node -> int
 (** Number of wired ports. *)
 

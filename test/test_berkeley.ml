@@ -271,6 +271,108 @@ let model_invariants_prop =
       let after_prune = Model.check_invariants model in
       after_explore = Ok () && after_prune = Ok ())
 
+(* ---------- pinned mapping outputs ---------- *)
+
+(* Default Berkeley.run (faithful policy, oracle depth, Circuit
+   collisions) from the first host, fabric seed 1. Recorded from the
+   list-walking simulator and the allocating merge engine: probe order,
+   merge order and vertex numbering all feed these numbers, so a change
+   to any of them moves at least one column. [md5] digests the exported
+   JSON followed by the DOT text, the two byte streams the CLI writes. *)
+let fabric_preset name () =
+  (Option.get (San_fabric.Fabric.find_preset name)).San_fabric.Fabric.p_build
+    ~seed:1
+
+let ft324 () =
+  match San_fabric.Fabric.of_string "levels=3,radix=12,edge=54,hosts=6" with
+  | Ok spec -> San_fabric.Fabric.build ~seed:1 spec
+  | Error e -> failwith e
+
+type pin = {
+  probes : int;
+  explorations : int;
+  created : int;
+  live : int;
+  elapsed : string;  (** simulated ns, "%.17g" *)
+  md5 : string;
+}
+
+let pinned =
+  [
+    ( "ft-324", ft324,
+      { probes = 66084; explorations = 38247; created = 39085; live = 459;
+        elapsed = "22249228200"; md5 = "31e4d7d2013b72cbe698cf57f648f032" } );
+    ( "ft-100", fabric_preset "ft-100",
+      { probes = 1719; explorations = 592; created = 755; live = 138;
+        elapsed = "657595000"; md5 = "96f8a0bbfedc30df4dcf5e4547777977" } );
+    ( "now-cab", fabric_preset "now-cab",
+      { probes = 3772; explorations = 735; created = 893; live = 140;
+        elapsed = "1683175200"; md5 = "b7da43972cf4f836bac2856521080f9c" } );
+    ( "ft-1k-degraded", fabric_preset "ft-1k-degraded",
+      { probes = 687693; explorations = 122234; created = 124515; live = 1278;
+        elapsed = "318672577000"; md5 = "1b613ac4e5968776b9364c66c426d383" } );
+    ( "mesh 4x5", (fun () -> Generators.mesh ~rows:4 ~cols:5 ()),
+      { probes = 1197; explorations = 72; created = 104; live = 40;
+        elapsed = "590449000"; md5 = "450962b30211f58c75546a7add286e82" } );
+    ( "ccc3", (fun () -> Generators.cube_connected_cycles ~dim:3 ()),
+      { probes = 1159; explorations = 64; created = 101; live = 48;
+        elapsed = "571588500"; md5 = "f9e0082ee29bb8736e690af2794b1d42" } );
+  ]
+
+let run_first_host g =
+  let net = Network.create g in
+  Berkeley.run net ~mapper:(List.hd (Graph.hosts g))
+
+let map_md5 m =
+  Digest.to_hex
+    (Digest.string (San_util.Json.to_string (Serial.to_json m) ^ Dot.to_string m))
+
+let test_pinned_outputs (name, build, pin) () =
+  let r = run_first_host (build ()) in
+  let check what = Alcotest.(check int) (name ^ " " ^ what) in
+  check "probes" pin.probes (Berkeley.total_probes r);
+  check "explorations" pin.explorations r.Berkeley.explorations;
+  check "created vertices" pin.created r.Berkeley.created_vertices;
+  check "live vertices" pin.live r.Berkeley.live_vertices;
+  Alcotest.(check string) (name ^ " elapsed_ns") pin.elapsed
+    (Printf.sprintf "%.17g" r.Berkeley.elapsed_ns);
+  match r.Berkeley.map with
+  | Ok m -> Alcotest.(check string) (name ^ " export md5") pin.md5 (map_md5 m)
+  | Error e -> Alcotest.failf "%s: export failed: %s" name e
+
+(* The provenance ledger of a now-cab map, entry by entry as JSON. *)
+let test_pinned_why_ledger () =
+  let g = fabric_preset "now-cab" () in
+  let snap =
+    San_why.Why.set_enabled true;
+    Fun.protect ~finally:(fun () -> San_why.Why.set_enabled false) @@ fun () ->
+    ignore (run_first_host g);
+    San_why.Why.capture ()
+  in
+  let text =
+    String.concat "\n"
+      (List.map
+         (fun (i, e) -> San_util.Json.to_string (San_why.Why.entry_to_json i e))
+         (San_why.Why.entries snap))
+  in
+  Alcotest.(check int) "ledger entries" 5419 (San_why.Why.size snap);
+  Alcotest.(check string) "ledger md5" "5ad5084e5c20a52da203aa0279ae3668"
+    (Digest.to_hex (Digest.string text))
+
+let test_pinned_merge_counter () =
+  List.iter
+    (fun (name, merges) ->
+      let module Obs = San_obs.Obs in
+      Obs.reset ();
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+          ignore (run_first_host (fabric_preset name ())));
+      Alcotest.(check int) (name ^ " mapper.merges") merges
+        (San_obs.Metrics.counter_value
+           (San_obs.Metrics.counter Obs.registry "mapper.merges")))
+    [ ("now-cab", 753); ("ft-100", 617) ];
+  San_obs.Obs.reset ()
+
 let () =
   Alcotest.run "san_mapper.berkeley"
     [
@@ -314,4 +416,13 @@ let () =
         ] );
       ( "radix generality",
         [ Alcotest.test_case "radix-16 fat tree" `Quick test_radix16_maps ] );
+      ( "pinned outputs",
+        List.map
+          (fun ((name, _, _) as p) ->
+            Alcotest.test_case name `Quick (test_pinned_outputs p))
+          pinned
+        @ [
+            Alcotest.test_case "now-cab why-ledger" `Quick test_pinned_why_ledger;
+            Alcotest.test_case "merge counter" `Quick test_pinned_merge_counter;
+          ] );
     ]

@@ -54,6 +54,31 @@ let test_parent_slot_conflict_merges_children () =
     (Model.canonical m c2);
   check_inv m
 
+let test_duplicate_wire_killed () =
+  (* Two switch-probes along the same turn give two children, which
+     merge at shift 0; both tree edges then join (s, 1) to (c, 0), so
+     slots (s, 1) and (c, 0) each hold the same wire twice. The merge
+     loop's dedup branch must kill exactly one of the copies. *)
+  let m = Model.create ~mapper_name:"root" ~radix:8 in
+  let s = Model.root_switch m in
+  let c1 = Model.add_switch_vertex m ~parent:s ~turn:1 ~probe:[ 1 ] in
+  Alcotest.(check int) "root cable and first child" 2 (Model.live_edges m);
+  let snap =
+    San_why.Why.set_enabled true;
+    Fun.protect ~finally:(fun () -> San_why.Why.set_enabled false) @@ fun () ->
+    ignore (Model.add_switch_vertex m ~parent:s ~turn:1 ~probe:[ 1 ]);
+    San_why.Why.capture ()
+  in
+  Alcotest.(check int) "three edges created" 3 (Model.created_edges m);
+  Alcotest.(check int) "live edges drop by one" 2 (Model.live_edges m);
+  Alcotest.(check int) "one copy of the two tree edges dead" 1
+    (List.length
+       (List.filter (fun eid -> San_why.Why.edge_dead snap ~eid) [ 1; 2 ]));
+  Alcotest.(check int) "one cable left at (s, 1)" 2 (Model.degree m s);
+  Alcotest.(check int) "child reached once" 1 (Model.degree m c1);
+  Alcotest.(check int) "three live vertices" 3 (Model.live_vertices m);
+  check_inv m
+
 let test_window_narrowing () =
   let m = Model.create ~mapper_name:"root" ~radix:8 in
   let s = Model.root_switch m in
@@ -201,6 +226,8 @@ let () =
             test_host_merging_merges_switches;
           Alcotest.test_case "parent slot conflict" `Quick
             test_parent_slot_conflict_merges_children;
+          Alcotest.test_case "duplicate wire killed" `Quick
+            test_duplicate_wire_killed;
           Alcotest.test_case "window narrowing" `Quick test_window_narrowing;
           Alcotest.test_case "window contradiction" `Quick
             test_window_contradiction_raises;

@@ -175,6 +175,20 @@ let triangle () =
   Graph.connect g (s2, 3) (s0, 3);
   (g, h0)
 
+(* Walk [turns] from [src] and ask the collision model about it: as a
+   host-probe, or as the loopback of [turns] when [loopback]. *)
+let blocks ?(loopback = false) model params g ~src ~turns =
+  let w = Worm.walker () in
+  let c = Collision.create model params in
+  if loopback then begin
+    Worm.walk_loopback w g ~src ~turns;
+    Collision.switch_probe_blocks c ~forward_hops:(List.length turns + 1) w
+  end
+  else begin
+    Worm.walk w g ~src ~turns;
+    Collision.host_probe_blocks c w
+  end
+
 let test_circuit_host_probe_same_direction_blocks () =
   let g, h0 = triangle () in
   (* Around the triangle twice in the same direction, then to h1:
@@ -186,15 +200,14 @@ let test_circuit_host_probe_same_direction_blocks () =
   | Worm.Arrived _ -> ()
   | o -> Alcotest.failf "should structurally arrive, got %a" Worm.pp_outcome o);
   Alcotest.(check bool) "circuit blocks same-direction reuse" true
-    (Collision.host_probe_blocks Collision.Circuit Params.default t);
+    (blocks Collision.Circuit Params.default g ~src:h0 ~turns:lap_then_host);
   Alcotest.(check bool) "cut-through with tiny worm survives" false
-    (Collision.host_probe_blocks Collision.Cut_through Params.default t)
+    (blocks Collision.Cut_through Params.default g ~src:h0 ~turns:lap_then_host)
 
 let test_circuit_simple_path_ok () =
   let g, h0 = triangle () in
-  let t = Worm.eval g ~src:h0 ~turns:[ 1; 6 ] in
   Alcotest.(check bool) "simple path never blocks" false
-    (Collision.host_probe_blocks Collision.Circuit Params.default t)
+    (blocks Collision.Circuit Params.default g ~src:h0 ~turns:[ 1; 6 ])
 
 let test_circuit_switch_probe_either_direction_blocks () =
   let g, h0 = triangle () in
@@ -205,11 +218,9 @@ let test_circuit_switch_probe_either_direction_blocks () =
      Use the triangle: forward = 1,1,1 ends at s0 having used three
      distinct edges; then -2 crosses s0->s1 again: either-direction
      reuse means undirected reuse; test with forward path 1,1,1,-2. *)
-  let turns = [ 1; 1; 1; -2 ] in
-  let t = Worm.eval g ~src:h0 ~turns:(Route.switch_probe turns) in
   Alcotest.(check bool) "switch probe blocked on undirected reuse" true
-    (Collision.switch_probe_blocks Collision.Circuit Params.default
-       ~forward_hops:(List.length turns + 1) t)
+    (blocks ~loopback:true Collision.Circuit Params.default g ~src:h0
+       ~turns:[ 1; 1; 1; -2 ])
 
 let test_switch_probe_clean_loop_ok () =
   let g, h0 = triangle () in
@@ -219,17 +230,15 @@ let test_switch_probe_clean_loop_ok () =
   | Worm.Arrived n -> Alcotest.(check int) "home" h0 n
   | o -> Alcotest.failf "unexpected %a" Worm.pp_outcome o);
   Alcotest.(check bool) "clean loopback not blocked (circuit)" false
-    (Collision.switch_probe_blocks Collision.Circuit Params.default
-       ~forward_hops:3 t)
+    (blocks ~loopback:true Collision.Circuit Params.default g ~src:h0 ~turns)
 
 let test_cut_through_blocks_big_worm () =
   let g, h0 = triangle () in
   (* A worm longer than the per-port buffering with a short return gap
      must step on its own tail. *)
   let params = { Params.default with Params.probe_payload_bytes = 10_000 } in
-  let t = Worm.eval g ~src:h0 ~turns:[ 1; 1; 1; -2; 6 ] in
   Alcotest.(check bool) "fat worm blocks in cut-through" true
-    (Collision.host_probe_blocks Collision.Cut_through params t)
+    (blocks Collision.Cut_through params g ~src:h0 ~turns:[ 1; 1; 1; -2; 6 ])
 
 let test_drain_model () =
   Alcotest.(check (float 1e-9)) "small worm fully buffered" 0.0
@@ -338,6 +347,379 @@ let response_consistency_prop =
       | Network.Nothing, _ -> true
       | Network.Switch, _ -> false)
 
+(* ---------- the probe service against a list-walking reference ---------- *)
+
+(* The four probe kinds re-derived the slow, obvious way: evaluate the
+   worm to a hop list, materialise the loopback route, and look for
+   self-collisions by scanning that list. Network must agree with it on
+   every observable: response, cost, Stats, and the per-channel transit
+   and collision counters. *)
+module Reference = struct
+  module Fs = San_telemetry.Fabric_stats
+
+  type t = {
+    g : Graph.t;
+    model : Collision.model;
+    params : Params.t;
+    responding : Graph.node -> bool;
+    traffic : (float * San_util.Prng.t) option;
+    fabric : Fs.t option;
+    stats : Stats.t;
+    costs : Network.t;  (** consulted for its cost formulas only *)
+  }
+
+  let create ~model ~params ~responding ~traffic ~fabric g =
+    {
+      g;
+      model;
+      params;
+      responding;
+      traffic;
+      fabric;
+      stats = Stats.create ();
+      costs = Network.create ~params g;
+    }
+
+  let undirected (h : Worm.hop) =
+    (min h.exit_end h.entry_end, max h.exit_end h.entry_end)
+
+  (* The first hop whose key an earlier hop already had. *)
+  let rec first_repeat key seen = function
+    | [] -> None
+    | h :: rest ->
+      let k = key h in
+      if List.mem k seen then Some h else first_repeat key (k :: seen) rest
+
+  (* Cut-through: hop j blocks when the latest earlier use of its
+     directed channel is so recent that the tail has not drained. *)
+  let first_early_return params hops =
+    let drain = Params.worm_drain_ns params ~route_flits:(List.length hops) in
+    let rec go j earlier = function
+      | [] -> None
+      | (h : Worm.hop) :: rest -> (
+        match List.assoc_opt h.exit_end earlier with
+        | Some i
+          when float_of_int (j - i) *. Params.hop_latency_ns params < drain ->
+          Some h
+        | Some _ | None -> go (j + 1) ((h.exit_end, j) :: earlier) rest)
+    in
+    if drain <= 0.0 then None else go 0 [] hops
+
+  let blocks r ?forward_hops hops =
+    let hit =
+      match (r.model, forward_hops) with
+      | Collision.Circuit, None ->
+        first_repeat (fun (h : Worm.hop) -> h.exit_end) [] hops
+      | Collision.Circuit, Some k ->
+        first_repeat undirected [] (List.filteri (fun i _ -> i < k) hops)
+      | Collision.Cut_through, _ -> first_early_return r.params hops
+    in
+    match hit with
+    | None -> false
+    | Some h ->
+      Option.iter (fun f -> Fs.collision f h.Worm.exit_end) r.fabric;
+      true
+
+  let survives r ~crossings =
+    match r.traffic with
+    | None -> true
+    | Some (p, rng) ->
+      San_util.Prng.float rng 1.0 < (1.0 -. p) ** float_of_int crossings
+
+  let account r ~host ~hit ~reply (hops : Worm.hop list) cost =
+    Option.iter
+      (fun f ->
+        List.iter
+          (fun (h : Worm.hop) ->
+            Fs.transit f h.exit_end;
+            if reply then Fs.transit f h.entry_end)
+          hops)
+      r.fabric;
+    let st = r.stats in
+    if host then begin
+      st.Stats.host_probes <- st.Stats.host_probes + 1;
+      if hit then st.Stats.host_hits <- st.Stats.host_hits + 1
+    end
+    else begin
+      st.Stats.switch_probes <- st.Stats.switch_probes + 1;
+      if hit then st.Stats.switch_hits <- st.Stats.switch_hits + 1
+    end;
+    Stats.add_time st cost;
+    cost
+
+  let miss r ~host hops =
+    account r ~host ~hit:false ~reply:false hops (Network.probe_cost_miss r.costs)
+
+  let host_probe r ~src ~turns =
+    let tr = Worm.eval r.g ~src ~turns in
+    let n = List.length tr.hops in
+    let name =
+      match tr.outcome with
+      | Worm.Arrived h when (not (blocks r tr.hops)) && r.responding h ->
+        Some (Graph.name r.g h)
+      | _ -> None
+    in
+    match name with
+    | Some name when survives r ~crossings:(2 * n) ->
+      ( Network.Host name,
+        account r ~host:true ~hit:true ~reply:true tr.hops
+          (Network.probe_cost_hit r.costs ~hops:(2 * n)) )
+    | Some _ | None -> (Network.Nothing, miss r ~host:true tr.hops)
+
+  let walk_probe r ~src ~turns =
+    let tr = Worm.eval r.g ~src ~turns in
+    let n = List.length tr.hops in
+    let answer =
+      match tr.outcome with
+      | Worm.Arrived h when r.responding h ->
+        Some (Graph.name r.g h, List.length turns)
+      | Worm.Hit_host_too_soon (idx, h) when r.responding h ->
+        Some (Graph.name r.g h, idx)
+      | _ -> None
+    in
+    let answer =
+      match answer with Some _ when blocks r tr.hops -> None | a -> a
+    in
+    match answer with
+    | Some a when survives r ~crossings:(2 * n) ->
+      ( Some a,
+        account r ~host:true ~hit:true ~reply:true tr.hops
+          (Network.probe_cost_hit r.costs ~hops:(2 * n)) )
+    | Some _ | None -> (None, miss r ~host:true tr.hops)
+
+  let loop_probe r ~src ~turns ~turn =
+    let tr = Worm.eval r.g ~src ~turns in
+    let n = List.length tr.hops in
+    let answer =
+      match (tr.outcome, List.rev tr.hops) with
+      | Worm.Stranded sw, last :: _ -> (
+        let out = snd last.Worm.entry_end + turn in
+        if out < 0 || out >= Graph.radix r.g then None
+        else
+          match Graph.neighbor r.g (sw, out) with
+          | Some (peer, q) when peer = sw -> Some (q - out)
+          | Some _ | None -> None)
+      | _ -> None
+    in
+    match answer with
+    | Some d when survives r ~crossings:(2 * (n + 1)) ->
+      ( Some d,
+        account r ~host:false ~hit:true ~reply:true tr.hops
+          (Network.probe_cost_hit r.costs ~hops:(2 * (n + 1))) )
+    | Some _ | None -> (None, miss r ~host:false tr.hops)
+
+  let switch_probe r ~src ~turns =
+    let tr = Worm.eval r.g ~src ~turns:(Route.switch_probe turns) in
+    let n = List.length tr.hops in
+    let home =
+      match tr.outcome with
+      | Worm.Arrived h ->
+        h = src
+        && not (blocks r ~forward_hops:(List.length turns + 1) tr.hops)
+      | _ -> false
+    in
+    if home && survives r ~crossings:n then
+      ( Network.Switch,
+        account r ~host:false ~hit:true ~reply:false tr.hops
+          (Network.probe_cost_hit r.costs ~hops:n) )
+    else (Network.Nothing, miss r ~host:false tr.hops)
+end
+
+(* Turn strings that mostly follow wired ports, so worms travel far,
+   bounce (turn 0) and revisit their own channels; after the first
+   step off the wiring the tail is uniform over the alphabet. *)
+let guided_turns rng g ~src ~len =
+  let radix = Graph.radix g in
+  let uniform () = San_util.Prng.int_in rng (-(radix - 1)) (radix - 1) in
+  let rec go at k acc =
+    if k = 0 then List.rev acc
+    else
+      match at with
+      | Some (node, in_port) when not (Graph.is_host g node) ->
+        let turn =
+          match Graph.wired_ports g node with
+          | _ :: _ as ports when San_util.Prng.int rng 5 > 0 ->
+            fst (List.nth ports (San_util.Prng.int rng (List.length ports)))
+            - in_port
+          | _ -> uniform ()
+        in
+        let out = in_port + turn in
+        let next =
+          if out < 0 || out >= radix then None else Graph.neighbor g (node, out)
+        in
+        go next (k - 1) (turn :: acc)
+      | Some _ | None -> go None (k - 1) (uniform () :: acc)
+  in
+  go (Graph.neighbor g (src, 0)) len []
+
+(* The walker's loopback, read back, is the walk of the materialised
+   loopback route: same outcome (flit indices included) and hops. *)
+let loopback_matches_eval w g ~src ~turns =
+  Worm.walk_loopback w g ~src ~turns;
+  let tr = Worm.eval g ~src ~turns:(Route.switch_probe turns) in
+  Worm.outcome w = tr.Worm.outcome
+  && Worm.hops w = List.length tr.Worm.hops
+  && List.for_all Fun.id
+       (List.mapi
+          (fun i (h : Worm.hop) ->
+            Worm.exit_end w i = h.exit_end && Worm.entry_end w i = h.entry_end)
+          tr.Worm.hops)
+
+let walker_corpus () =
+  let fuzz =
+    List.init 30 (fun seed ->
+        let c = San_check.Fuzz_gen.gen ~seed in
+        let silent =
+          List.filter_map (Graph.host_by_name c.graph) c.San_check.Fuzz_gen.silent
+        in
+        (Printf.sprintf "fuzz seed %d" seed, c.graph,
+         fun n -> not (List.mem n silent)))
+  in
+  let preset name =
+    ( name,
+      (Option.get (San_fabric.Fabric.find_preset name)).San_fabric.Fabric.p_build
+        ~seed:1,
+      fun _ -> true )
+  in
+  fuzz @ [ preset "ft-100"; preset "now-cab" ]
+
+(* host hits, switch hits, circuit collisions, cut-through collisions *)
+let walker_tally = Array.make 4 0
+
+let fat_worm = { Params.default with Params.probe_payload_bytes = 400 }
+
+let compare_walkers ~model ~params ~traffic ~installed (name, g, responding) =
+  let module Fs = San_telemetry.Fabric_stats in
+  let fa = Fs.create () and fr = Fs.create () in
+  let traffic_of seed = Option.map (fun p -> (p, San_util.Prng.create seed)) traffic in
+  let net =
+    if installed then begin
+      Fs.install fa;
+      Fun.protect ~finally:Fs.uninstall (fun () ->
+          Network.create ~model ~params ~responding ?traffic:(traffic_of 7) g)
+    end
+    else Network.create ~model ~params ~responding ?traffic:(traffic_of 7) g
+  in
+  let r =
+    Reference.create ~model ~params ~responding ~traffic:(traffic_of 7)
+      ~fabric:(if installed then Some fr else None)
+      g
+  in
+  let what =
+    Printf.sprintf "%s [%s, payload %d%s%s]" name
+      (Collision.model_to_string model)
+      params.Params.probe_payload_bytes
+      (if traffic = None then "" else ", traffic")
+      (if installed then ", fabric stats" else "")
+  in
+  let rng = San_util.Prng.create (Hashtbl.hash name) in
+  let radix = Graph.radix g in
+  let resp = function
+    | Network.Switch -> "switch"
+    | Network.Host h -> "host " ^ h
+    | Network.Nothing -> "nothing"
+  in
+  let pair show (a, ca) (b, cb) = (show a, ca) = (show b, cb) in
+  let opt show = function None -> "none" | Some x -> show x in
+  let hosts = Graph.hosts g in
+  let w = Worm.walker () in
+  List.iteri
+    (fun i src ->
+      if i < 3 then
+        for _ = 1 to 25 do
+          let turns () = guided_turns rng g ~src ~len:(San_util.Prng.int rng 9) in
+          let tr = turns () in
+          if
+            not
+              (pair resp (Network.host_probe net ~src ~turns:tr)
+                 (Reference.host_probe r ~src ~turns:tr))
+          then Alcotest.failf "%s: host probe %s" what (Route.to_string tr);
+          let tr = turns () in
+          if
+            not
+              (pair resp (Network.switch_probe net ~src ~turns:tr)
+                 (Reference.switch_probe r ~src ~turns:tr))
+          then Alcotest.failf "%s: switch probe %s" what (Route.to_string tr);
+          if not (loopback_matches_eval w g ~src ~turns:tr) then
+            Alcotest.failf "%s: loopback walk of %s" what (Route.to_string tr);
+          let tr = turns () in
+          if
+            not
+              (pair
+                 (opt (fun (h, k) -> Printf.sprintf "%s@%d" h k))
+                 (Network.walk_probe net ~src ~turns:tr)
+                 (Reference.walk_probe r ~src ~turns:tr))
+          then Alcotest.failf "%s: walk probe %s" what (Route.to_string tr);
+          let tr = turns () in
+          let turn = San_util.Prng.int_in rng (-(radix - 1)) (radix - 1) in
+          if
+            not
+              (pair (opt string_of_int)
+                 (Network.loop_probe net ~src ~turns:tr ~turn)
+                 (Reference.loop_probe r ~src ~turns:tr ~turn))
+          then
+            Alcotest.failf "%s: loop probe %s turn %d" what (Route.to_string tr)
+              turn
+        done)
+    hosts;
+  let st = Network.stats net and rs = r.Reference.stats in
+  Alcotest.(check (list int)) (what ^ ": stats")
+    [ rs.Stats.host_probes; rs.Stats.host_hits; rs.Stats.switch_probes;
+      rs.Stats.switch_hits ]
+    [ st.Stats.host_probes; st.Stats.host_hits; st.Stats.switch_probes;
+      st.Stats.switch_hits ];
+  Alcotest.(check (float 0.0)) (what ^ ": serial time") rs.Stats.serial_time_ns
+    st.Stats.serial_time_ns;
+  let counters f e =
+    match Fs.port_stat f e with
+    | None -> (0, 0)
+    | Some p -> (p.Fs.transits, p.Fs.collisions)
+  in
+  List.iter
+    (fun n ->
+      for p = 0 to Graph.ports_of g n - 1 do
+        let a = counters fa (n, p) and b = counters fr (n, p) in
+        if a <> b then
+          Alcotest.failf "%s: channel (%d,%d) transits/collisions %d/%d, \
+                          reference %d/%d"
+            what n p (fst a) (snd a) (fst b) (snd b)
+      done)
+    (Graph.nodes g);
+  Alcotest.(check int) (what ^ ": total transits") (Fs.total_transits fr)
+    (Fs.total_transits fa);
+  (* Coverage tally: the corpus must exercise hits of both columns and
+     blocking self-collisions, or agreement proves little. *)
+  let tally = walker_tally in
+  tally.(0) <- tally.(0) + rs.Stats.host_hits;
+  tally.(1) <- tally.(1) + rs.Stats.switch_hits;
+  List.iter
+    (fun n ->
+      for p = 0 to Graph.ports_of g n - 1 do
+        tally.(if model = Collision.Circuit then 2 else 3) <-
+          tally.(if model = Collision.Circuit then 2 else 3) + snd (counters fr (n, p))
+      done)
+    (Graph.nodes g)
+
+let test_walker_differential () =
+  let corpus = walker_corpus () in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun params ->
+          List.iter
+            (fun (traffic, installed) ->
+              List.iter
+                (compare_walkers ~model ~params ~traffic ~installed)
+                corpus)
+            [ (None, false); (None, true); (Some 0.05, true) ])
+        [ Params.default; fat_worm ])
+    [ Collision.Circuit; Collision.Cut_through ];
+  Array.iteri
+    (fun i what ->
+      if walker_tally.(i) = 0 then Alcotest.failf "corpus never produced %s" what)
+    [| "a host hit"; "a switch hit"; "a circuit collision";
+       "a cut-through collision" |]
+
 let () =
   Alcotest.run "san_simnet"
     [
@@ -378,5 +760,7 @@ let () =
           Alcotest.test_case "embedded slowdown" `Quick
             test_network_embedded_slowdown;
           qcheck response_consistency_prop;
+          Alcotest.test_case "walker matches reference" `Quick
+            test_walker_differential;
         ] );
     ]

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check bench bench-fast bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-trace artifacts examples clean
+.PHONY: all build test check smoke bench bench-fast obs-smoke bench-smoke scale-smoke shard-smoke serve-smoke fuzz-smoke health-smoke explain-smoke slo-smoke cover-smoke perf-trace artifacts examples clean
 
 all: build
 
@@ -10,22 +10,23 @@ build:
 test:
 	dune runtest
 
-# What CI runs: a full build plus the test suites (the benchmark's
-# own unittests included) and the telemetry smoke (dashboard, chrome
-# trace, prometheus exposition).
+# Every end-to-end smoke, in the order they run. `make smoke` runs the
+# list one target at a time and stops at the first failure; `check`
+# runs it after the build and the tests, and CI calls `make smoke`, so
+# what CI runs and what `check` runs cannot drift apart.
+SMOKES = obs-smoke bench-smoke health-smoke explain-smoke fuzz-smoke \
+  scale-smoke shard-smoke serve-smoke slo-smoke cover-smoke perf-trace
+
+smoke:
+	@set -e; for s in $(SMOKES); do $(MAKE) $$s; done
+
+# What CI runs: a full build, the test suites (the benchmark's own
+# unittests included) and every smoke.
 check:
 	dune build @all
 	dune runtest
 	python3 -m unittest discover perfbench
-	$(MAKE) health-smoke
-	$(MAKE) explain-smoke
-	$(MAKE) fuzz-smoke
-	$(MAKE) scale-smoke
-	$(MAKE) shard-smoke
-	$(MAKE) serve-smoke
-	$(MAKE) slo-smoke
-	$(MAKE) cover-smoke
-	$(MAKE) perf-trace
+	$(MAKE) smoke
 
 bench:
 	dune exec bench/main.exe
@@ -34,11 +35,20 @@ bench:
 bench-fast:
 	dune exec bench/main.exe -- --fast
 
+# The observability CLI: a NOW map with the metrics registry and the
+# JSON-lines trace written out.
+obs-smoke:
+	mkdir -p _artifacts
+	dune exec bin/san_map.exe -- map -t cab \
+	  --metrics _artifacts/obs_metrics.json --trace _artifacts/obs_trace.jsonl
+	test -s _artifacts/obs_metrics.json && test -s _artifacts/obs_trace.jsonl
+
 # CI-sized: the control-plane daemon on a tiny topology for 2 epochs,
 # plus the seeded daemon bench section in fast mode.
 bench-smoke:
 	dune exec bin/san_map.exe -- daemon -t star:3 --epochs 2 --schedule 1:cut
 	dune exec bench/main.exe -- --only daemon --fast --no-bechamel
+	test -s BENCH_obs.json
 
 # Scaling at CI size: map a seeded 1k-host fat-tree end to end under a
 # wall-time budget, then run the fast scaling bench rung so the

@@ -1153,11 +1153,12 @@ let resolve_load load pattern =
     | Some p -> Ok (Some (San_slo.Load.spec ~pattern:p f)))
 
 let resolve_slos slo_str load =
-  if slo_str = "" then Ok (if load > 0.0 then San_slo.Slo.defaults else [])
+  if slo_str = "" then
+    Ok (if load > 0.0 then San_telemetry.Slo.defaults else [])
   else
     List.fold_left
       (fun acc s ->
-        match (acc, San_slo.Slo.parse (String.trim s)) with
+        match (acc, San_telemetry.Slo.parse (String.trim s)) with
         | (Error _ as e), _ -> e
         | _, Error e -> Error e
         | Ok l, Ok o -> Ok (l @ [ o ]))
@@ -1269,7 +1270,7 @@ let run_daemon spec seed epochs schedule scenario load lpat slo retries shards
             (i.Daemon.converge_ns /. 1e6))
         o.Daemon.incidents;
       List.iter
-        (fun st -> Format.printf "slo: %a@." San_slo.Slo.pp_status st)
+        (fun st -> Format.printf "slo: %a@." San_telemetry.Slo.pp_status st)
         o.Daemon.slo;
       if flight then
         Format.printf "flight recordings under %s/ (read with `san_map \
@@ -1288,10 +1289,15 @@ let link_name g ((a, pa), (b, pb)) =
 
 let print_dashboard spec schedule (o : San_service.Daemon.outcome) fabric =
   let open San_service in
-  let module H = San_telemetry.Health in
-  let h = o.Daemon.health in
+  let module Slo = San_telemetry.Slo in
+  (* The sparklines keep their own trailing window ([~width]). *)
+  let samples =
+    List.filter_map
+      (fun (r : Daemon.epoch_report) -> r.Daemon.health)
+      o.Daemon.reports
+  in
   let spark name f unit_ =
-    let series = List.map f h.H.r_samples in
+    let series = List.map f samples in
     match series with
     | [] -> ()
     | _ ->
@@ -1303,11 +1309,11 @@ let print_dashboard spec schedule (o : San_service.Daemon.outcome) fabric =
   Format.printf "fabric health: %s over %d epochs%s@." spec
     (List.length o.Daemon.reports)
     (if schedule = "" then "" else Printf.sprintf " (schedule %s)" schedule);
-  spark "coverage" (fun s -> s.H.coverage) "";
-  spark "drop rate" (fun s -> s.H.probe_drop_rate) "";
-  spark "delta bytes" (fun s -> float_of_int s.H.delta_bytes) " B";
-  spark "epoch ms" (fun s -> s.H.epoch_ms) " ms";
-  (match h.H.r_history with
+  spark "coverage" (fun s -> s.Slo.coverage) "";
+  spark "drop rate" (fun s -> s.Slo.probe_drop_rate) "";
+  spark "delta bytes" (fun s -> float_of_int s.Slo.delta_bytes) " B";
+  spark "epoch ms" (fun s -> s.Slo.epoch_ns /. 1e6) " ms";
+  (match o.Daemon.health with
   | [] -> Format.printf "alerts: none@."
   | alerts ->
     let t =
@@ -1315,23 +1321,22 @@ let print_dashboard spec schedule (o : San_service.Daemon.outcome) fabric =
         ~header:[ "alert"; "metric"; "raised"; "cleared"; "worst" ]
     in
     List.iter
-      (fun (a : H.alert) ->
+      (fun (a : Slo.alert) ->
         San_util.Tablefmt.add_row t
           [
-            a.H.a_rule.H.rule_name;
-            H.metric_name a.H.a_rule.H.metric;
-            string_of_int a.H.raised_epoch;
-            (match a.H.cleared_epoch with
+            a.Slo.objective.Slo.name;
+            Slo.metric_to_string a.Slo.objective.Slo.metric;
+            string_of_int a.Slo.raised_epoch;
+            (match a.Slo.cleared_epoch with
             | Some e -> string_of_int e
             | None -> "ACTIVE");
-            Printf.sprintf "%.3f" a.H.worst;
+            Printf.sprintf "%.3f" a.Slo.worst;
           ])
       alerts;
     San_util.Tablefmt.print ~title:"alerts" t);
   (match o.Daemon.slo with
   | [] -> ()
   | statuses ->
-    let module Slo = San_slo.Slo in
     let t =
       San_util.Tablefmt.create
         ~header:[ "objective"; "burn"; "bad/eligible"; "streak"; "state" ]
@@ -1702,7 +1707,7 @@ let run_serve spec seed queries dsts check load lpat trace metrics =
           (* A drop costs one median redelivery; occupancy and queueing
              are already nanoseconds, so the units agree. *)
           let drop_ns =
-            San_slo.Digest.quantile rep.San_slo.Load.r_latency 0.5
+            San_obs.Digest.quantile rep.San_slo.Load.r_latency 0.5
           in
           Format.printf
             "traffic: %s load %.2f — loss %.4f/crossing, drop cost %.0f ns@."

@@ -120,6 +120,15 @@ let run ?policy ?depth ?remap net ~mapper ~previous =
     (* Switches unreachable in the map would already make it suspect. *)
     if Hashtbl.length routes <> Graph.num_switches previous then
       incr discrepancies;
+    (* A map with no switch has no routes to verify through: the
+       mapper's own switch was gone. Send the empty-turn switch probe
+       the mapper starts from; an answer means that switch is back. *)
+    if Graph.num_switches previous = 0 then begin
+      incr probes;
+      let resp, cost = Network.switch_probe net ~src:mapper ~turns:[] in
+      elapsed := !elapsed +. cost;
+      if resp = Network.Switch then incr discrepancies
+    end;
     San_obs.Obs.emit
       (San_obs.Trace.Epoch_started
          {

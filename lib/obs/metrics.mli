@@ -1,4 +1,4 @@
-(** Named counters, gauges and log-scale histograms.
+(** Named counters, gauges and histograms.
 
     The mapping experiments are accounting experiments — probe counts,
     hit ratios, latency distributions — so the registry is the shared
@@ -11,7 +11,6 @@ type t
 
 type counter
 type gauge
-type histogram
 
 val create : unit -> t
 
@@ -19,7 +18,9 @@ val counter : t -> string -> counter
 (** Find or create the counter of that name. *)
 
 val gauge : t -> string -> gauge
-val histogram : t -> string -> histogram
+val histogram : t -> string -> Digest.t
+(** Find or create the histogram of that name: a {!Digest.t} the
+    registry owns, fed with {!Digest.add}. *)
 
 val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1). In debug mode, raises [Invalid_argument] on
@@ -38,47 +39,25 @@ val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 val gauge_name : gauge -> string
 
-val observe : histogram -> float -> unit
-(** Record one observation. Non-positive values go to a dedicated zero
-    bucket; positive values are binned at geometric boundaries
-    [2^(i/8)] (~9% relative resolution). *)
-
-val histogram_count : histogram -> int
-val histogram_name : histogram -> string
-
-val quantile : histogram -> float -> float
-(** [quantile h q] for [q] in [0,1]: the geometric midpoint of the
-    bucket holding the rank-[q] observation, clamped to the observed
-    min/max. 0 when the histogram is empty. *)
-
 val reset : t -> unit
 (** Zero every instrument in place (handles remain valid). *)
 
 (** {1 Snapshots} *)
 
-type hist_snapshot = {
-  hs_count : int;
-  hs_sum : float;
-  hs_min : float;
-  hs_max : float;
-  hs_zero : int;
-  hs_buckets : (int * int) list;
-}
-
 type snapshot = {
   s_counters : (string * int) list;
   s_gauges : (string * float) list;
-  s_histograms : (string * hist_snapshot) list;
+  s_histograms : (string * Digest.t) list;
 }
 
 val snapshot : t -> snapshot
-(** An immutable view, name-sorted. *)
+(** A name-sorted view holding copies of the histograms, so later
+    observations do not reach it. *)
 
 val diff : before:snapshot -> after:snapshot -> snapshot
-(** Activity between two snapshots of the same registry: counters and
-    histogram populations subtract, gauges keep the later value, and a
-    histogram's min/max come from [after] (window extremes are not
-    recoverable from summaries).
+(** Activity between two snapshots of the same registry: counters
+    subtract, histograms subtract through {!Digest.diff}, gauges keep
+    the later value.
 
     An instrument that restarted mid-window (a {!reset} between the
     snapshots: its counter went backwards, or a histogram's total,
@@ -87,11 +66,9 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     window's activity — so deltas are never negative even when the
     window holds only new buckets. *)
 
-val quantile_of : hist_snapshot -> float -> float
-
 val counter_in : snapshot -> string -> int option
 val gauge_in : snapshot -> string -> float option
-val histogram_in : snapshot -> string -> hist_snapshot option
+val histogram_in : snapshot -> string -> Digest.t option
 
 val to_json : snapshot -> San_util.Json.t
 (** [{"counters": {..}, "gauges": {..}, "histograms": {name:

@@ -25,7 +25,7 @@ let set_gauge name v =
   if !enabled then Metrics.set (Metrics.gauge registry name) v
 
 let observe name v =
-  if !enabled then Metrics.observe (Metrics.histogram registry name) v
+  if !enabled then Digest.add (Metrics.histogram registry name) v
 
 let with_span name f =
   if not !enabled then f ()
@@ -35,7 +35,7 @@ let with_span name f =
     Fun.protect
       ~finally:(fun () ->
         let elapsed_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-        Metrics.observe
+        Digest.add
           (Metrics.histogram registry ("span." ^ name))
           elapsed_ns;
         Trace.emit tracer (Trace.Span_end { name; elapsed_ns }))

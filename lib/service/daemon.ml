@@ -43,7 +43,7 @@ type epoch_report = {
   hosts_total : int;
   hosts_covered : int;
   epoch_ns : float;
-  health : San_telemetry.Health.sample option;
+  health : San_telemetry.Slo.sample option;
   alerts_raised : string list;
   alerts_cleared : string list;
   slo_raised : string list;
@@ -60,8 +60,8 @@ type outcome = {
   total_probes : int;
   delta_bytes : int;
   full_bytes : int;
-  health : San_telemetry.Health.report;
-  slo : San_slo.Slo.status list;
+  health : San_telemetry.Slo.alert list;
+  slo : San_telemetry.Slo.status list;
 }
 
 type config = {
@@ -74,7 +74,7 @@ type config = {
   shards : int;
   flight_dir : string option;
   load : San_slo.Load.spec option;
-  slos : San_slo.Slo.objective list;
+  slos : San_telemetry.Slo.objective list;
 }
 
 let default_config =
@@ -115,7 +115,8 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
        the schedule cuts (and vice versa). *)
     let load_rng = San_util.Prng.create (config.seed lxor 0x10AD) in
     let traffic_rng = San_util.Prng.create (config.seed lxor 0x7AFF1C) in
-    let slo = San_slo.Slo.create config.slos in
+    let health = San_telemetry.Slo.create San_telemetry.Slo.health_rules in
+    let slo = San_telemetry.Slo.create ~label:"slo" config.slos in
     (* Cumulative simulated clock for the phase timeline: epochs abut,
        each epoch's detect/verify/remap/distribute spans laid end to
        end. *)
@@ -134,7 +135,6 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         incident_acc = 0.0;
       }
     in
-    let health = San_telemetry.Health.create () in
     let reports = ref [] in
     let incidents = ref [] in
     let remaps = ref 0 in
@@ -427,13 +427,16 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         San_obs.Obs.set_gauge "daemon.coverage"
           (float_of_int hosts_covered /. float_of_int hosts_total);
       if st.phase = Degraded then San_obs.Obs.count "daemon.degraded_epochs";
-      (* Fabric health: one sample per steady-state epoch. Cold start
-         is skipped on purpose — the bootstrap ships every slice by
-         definition, and alerting on it would make every run open with
-         a spurious incident. *)
-      let health_sample, alerts_raised, alerts_cleared =
+      (* Fabric health and SLOs: one sample per steady-state epoch,
+         fed to both trackers. Cold start is skipped on purpose — the
+         bootstrap ships every slice by definition, and alerting on it
+         would make every run open with a spurious incident; nor has a
+         cold start any contract to breach. *)
+      let ( health_sample,
+            (alerts_raised, alerts_cleared),
+            (slo_raised, slo_cleared) ) =
         match !verdict with
-        | Cold_start -> (None, [], [])
+        | Cold_start -> (None, ([], []), ([], []))
         | _ ->
           let coverage =
             if hosts_total = 0 then 0.0
@@ -465,45 +468,32 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
           in
           let sample =
             {
-              San_telemetry.Health.epoch = e;
+              San_telemetry.Slo.epoch = e;
+              load =
+                (match !load_report with
+                | Some r -> r.San_slo.Load.r_offered
+                | None -> 0.0);
               coverage;
               convergence_epochs =
                 (match st.incident_start with
                 | Some d -> e - d + 1
                 | None -> 0);
+              converge_ns = !closed_converge;
+              epoch_ns;
               delta_bytes =
                 (match !dist_report with
                 | Some rep -> rep.Delta.sent_bytes
                 | None -> 0);
               missed_slices;
               probe_drop_rate;
-              epoch_ms = epoch_ns /. 1e6;
-            }
-          in
-          let raised, cleared = San_telemetry.Health.observe health sample in
-          (Some sample, raised, cleared)
-      in
-      (* SLOs watch the same steady-state epochs as health: a cold
-         start has no contract to breach. *)
-      let slo_raised, slo_cleared =
-        match (!verdict, health_sample) with
-        | Cold_start, _ | _, None -> ([], [])
-        | _, Some hs ->
-          San_slo.Slo.observe slo
-            {
-              San_slo.Slo.s_epoch = e;
-              s_load =
-                (match !load_report with
-                | Some r -> r.San_slo.Load.r_offered
-                | None -> 0.0);
-              s_converge_ns = !closed_converge;
-              s_epoch_ns = epoch_ns;
-              s_drop_rate =
+              drop_rate =
                 (match !load_report with
                 | Some r -> r.San_slo.Load.r_drop_rate
-                | None -> hs.San_telemetry.Health.probe_drop_rate);
-              s_coverage = hs.San_telemetry.Health.coverage;
+                | None -> probe_drop_rate);
             }
+          in
+          let alerts = San_telemetry.Slo.observe health sample in
+          (Some sample, alerts, San_telemetry.Slo.observe slo sample)
       in
       let report =
         {
@@ -558,7 +548,7 @@ let run ?(config = default_config) ?(schedule = Schedule.empty)
         total_probes = !total_probes;
         delta_bytes = !delta_bytes;
         full_bytes = !full_bytes;
-        health = San_telemetry.Health.report health;
-        slo = San_slo.Slo.status slo;
+        health = San_telemetry.Slo.history health;
+        slo = San_telemetry.Slo.status slo;
       }
   end

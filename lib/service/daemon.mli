@@ -23,12 +23,13 @@
     counted in simulated work time) lands in the
     ["daemon.converge_ns"] histogram of the global registry.
 
-    Every non-cold-start epoch additionally feeds one
-    {!San_telemetry.Health.sample} (coverage, convergence,
-    distribution bytes, missed slices, drop rate) into a sliding
-    health window whose rules raise and clear typed alerts —
+    Every non-cold-start epoch additionally builds one
+    {!San_telemetry.Slo.sample} (coverage, convergence, distribution
+    bytes, missed slices, drop rate, load) and feeds it to two trackers
+    of that module: the health rules ({!San_telemetry.Slo.health_rules})
+    and the configured SLOs. Both raise and clear typed alerts —
     {!San_obs.Trace.Alert_raised} / [Alert_cleared] trace events plus
-    the [health] blocks of the reports below. *)
+    the alert lists of the reports below. *)
 
 open San_topology
 
@@ -73,7 +74,7 @@ type epoch_report = {
   hosts_total : int;  (** hosts in the daemon's current map *)
   hosts_covered : int;  (** hosts whose installed slice is current *)
   epoch_ns : float;  (** simulated work this epoch *)
-  health : San_telemetry.Health.sample option;
+  health : San_telemetry.Slo.sample option;
       (** [None] only for cold-start epochs, which are not anomalies *)
   alerts_raised : string list;  (** health rules that raised this epoch *)
   alerts_cleared : string list;
@@ -93,10 +94,10 @@ type outcome = {
   full_bytes : int;
       (** what shipping full slices on every distribution would have
           cost — the delta savings baseline *)
-  health : San_telemetry.Health.report;
-      (** the health window at exit: per-epoch samples, active alerts
-          and the full alert history ({!San_telemetry.Health}) *)
-  slo : San_slo.Slo.status list;
+  health : San_telemetry.Slo.alert list;
+      (** every health alert raised over the run, oldest first; the
+          ones still open have no [cleared_epoch] *)
+  slo : San_telemetry.Slo.status list;
       (** burn-rate status of every configured objective at exit *)
 }
 
@@ -124,7 +125,7 @@ type config = {
           ({!San_slo.Load.drive}) and the measured per-crossing loss
           feeds the epoch's probe {!San_simnet.Network} — verification
           and remapping genuinely contend with the traffic *)
-  slos : San_slo.Slo.objective list;
+  slos : San_telemetry.Slo.objective list;
       (** convergence SLOs tracked over steady-state epochs; burn-rate
           alerts ride the same trace-event stream as health alerts *)
 }

@@ -16,7 +16,7 @@ type shard_report = {
   s_elapsed_ns : float;
   s_map_nodes : int;
   s_stale : bool;
-  s_probe_cost : San_slo.Digest.t;
+  s_probe_cost : San_obs.Digest.t;
 }
 
 type result = {
@@ -31,7 +31,7 @@ type result = {
   sum_ns : float;
   merge_ns : float;
   coordinator : string;
-  probe_cost : San_slo.Digest.t;
+  probe_cost : San_obs.Digest.t;
       (** the shards' probe-cost digests merged — composition is exact,
           so this equals the digest of the whole run's probe costs *)
 }
@@ -85,15 +85,12 @@ let corrupt_view ~seed ~scopes ~idx ~mapper g =
     try_pick 32
   end
 
-(* The shard's probe-cost distribution, captured as a mergeable digest
-   by diffing the global probe-cost histogram around the run. Requires
-   the switchboard on; with observability off the digest is empty. *)
-let probe_cost_digest ~before =
-  let after = San_obs.Metrics.snapshot Obs.registry in
-  let window = San_obs.Metrics.diff ~before ~after in
-  match San_obs.Metrics.histogram_in window "net.probe_cost_ns" with
-  | Some hs -> San_slo.Digest.of_hist_snapshot hs
-  | None -> San_slo.Digest.create ()
+(* The global probe-cost histogram, whose growth around a shard's run
+   is that shard's probe-cost digest. Requires the switchboard on; with
+   observability off the digest stays empty. *)
+let probe_cost_hist () =
+  if Obs.on () then San_obs.Metrics.histogram Obs.registry "net.probe_cost_ns"
+  else San_obs.Digest.create ()
 
 let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic
     ?(epoch = 1) ?stale g ~shards =
@@ -139,14 +136,17 @@ let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic
                        scopes.(sp.Region.idx).(v)
                      | _ -> false)
              in
-             let cost_before = San_obs.Metrics.snapshot Obs.registry in
+             let cost_before = San_obs.Digest.copy (probe_cost_hist ()) in
              let r =
                Obs.with_span "shard.map" (fun () ->
                    Berkeley.run ?policy ?expand
                      ~depth:(Berkeley.Fixed sp.Region.depth)
                      net ~mapper:sp.Region.mapper)
              in
-             let probe_cost = probe_cost_digest ~before:cost_before in
+             let probe_cost =
+               San_obs.Digest.diff ~before:cost_before
+                 ~after:(probe_cost_hist ())
+             in
              let st = Stats.copy (Network.stats net) in
              let probes = Stats.total_probes st in
              let probe_did = San_why.Why.last_probe () in
@@ -245,6 +245,6 @@ let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic
         merge_ns;
         coordinator;
         probe_cost =
-          San_slo.Digest.merge_all
+          San_obs.Digest.merge_all
             (List.map (fun r -> r.s_probe_cost) reports);
       }

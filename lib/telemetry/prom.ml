@@ -5,6 +5,7 @@
    this). *)
 
 module Metrics = San_obs.Metrics
+module Digest = San_obs.Digest
 
 let default_prefix = "san_"
 
@@ -45,10 +46,10 @@ let of_snapshot ?(prefix = default_prefix) (s : Metrics.snapshot) =
       List.iter
         (fun (label, q) ->
           add "%s{quantile=\"%s\"} %s\n" n label
-            (num (Metrics.quantile_of h q)))
+            (num (Digest.quantile h q)))
         [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99) ];
-      add "%s_sum %s\n" n (num h.Metrics.hs_sum);
-      add "%s_count %d\n" n h.Metrics.hs_count)
+      add "%s_sum %s\n" n (num (Digest.sum h));
+      add "%s_count %d\n" n (Digest.count h))
     s.Metrics.s_histograms;
   Buffer.contents buf
 

@@ -6,67 +6,65 @@ type t = {
   epoch : int option;
   records : Trace.record list;
   entries : (int * Why.entry) list;
+  dropped_bytes : int;
 }
 
 let read path =
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let note = ref "" and epoch = ref None in
-        let records = ref [] and entries = ref [] in
-        let ok = ref (Ok ()) in
-        (try
-           let lineno = ref 0 in
-           while !ok = Ok () do
-             let line = input_line ic in
-             incr lineno;
-             if String.trim line <> "" then
-               match J.of_string line with
-               | Error e ->
-                 ok := Error (Printf.sprintf "line %d: %s" !lineno e)
-               | Ok j -> (
-                 match Option.bind (J.member "rec" j) J.to_str with
-                 | Some "flight" ->
-                   note :=
-                     Option.value ~default:""
-                       (Option.bind (J.member "note" j) J.to_str);
-                   epoch := Option.bind (J.member "epoch" j) J.to_int
-                 | Some "trace" -> (
-                   match
-                     Option.bind (J.member "record" j) Trace.record_of_json
-                   with
-                   | Some r -> records := r :: !records
-                   | None ->
-                     ok :=
-                       Error
-                         (Printf.sprintf "line %d: bad trace record" !lineno))
-                 | Some "why" -> (
-                   match
-                     Option.bind (J.member "entry" j) Why.entry_of_json
-                   with
-                   | Some e -> entries := e :: !entries
-                   | None ->
-                     ok :=
-                       Error
-                         (Printf.sprintf "line %d: bad ledger entry" !lineno))
-                 | _ ->
-                   ok :=
-                     Error (Printf.sprintf "line %d: unknown record" !lineno))
-           done
-         with End_of_file -> ());
-        match !ok with
-        | Error _ as e -> e
-        | Ok () ->
-          Ok
-            {
-              note = !note;
-              epoch = !epoch;
-              records = List.rev !records;
-              entries = List.rev !entries;
-            })
-  with Sys_error e -> Error e
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> (
+    (* The writer ends every line with a newline, so bytes after the
+       last one are a line it never finished — what a crash or a cut
+       copy leaves. Drop them and say how many went. *)
+    let complete =
+      match String.rindex_opt text '\n' with None -> 0 | Some i -> i + 1
+    in
+    let note = ref "" and epoch = ref None in
+    let records = ref [] and entries = ref [] in
+    let parse lineno line =
+      let fail what = Error (Printf.sprintf "line %d: %s" lineno what) in
+      if String.trim line = "" then Ok ()
+      else
+        match J.of_string line with
+        | Error e -> fail e
+        | Ok j -> (
+          match Option.bind (J.member "rec" j) J.to_str with
+          | Some "flight" ->
+            note :=
+              Option.value ~default:""
+                (Option.bind (J.member "note" j) J.to_str);
+            epoch := Option.bind (J.member "epoch" j) J.to_int;
+            Ok ()
+          | Some "trace" -> (
+            match Option.bind (J.member "record" j) Trace.record_of_json with
+            | Some r ->
+              records := r :: !records;
+              Ok ()
+            | None -> fail "bad trace record")
+          | Some "why" -> (
+            match Option.bind (J.member "entry" j) Why.entry_of_json with
+            | Some e ->
+              entries := e :: !entries;
+              Ok ()
+            | None -> fail "bad ledger entry")
+          | _ -> fail "unknown record")
+    in
+    let rec go lineno = function
+      | [] -> Ok ()
+      | line :: rest ->
+        Result.bind (parse lineno line) (fun () -> go (lineno + 1) rest)
+    in
+    match go 1 (String.split_on_char '\n' (String.sub text 0 complete)) with
+    | Error _ as e -> e
+    | Ok () ->
+      Ok
+        {
+          note = !note;
+          epoch = !epoch;
+          records = List.rev !records;
+          entries = List.rev !entries;
+          dropped_bytes = String.length text - complete;
+        })
 
 let open_alerts t =
   let open_ = Hashtbl.create 8 in
@@ -110,6 +108,9 @@ let pp ppf t =
     | None -> "");
   Format.fprintf ppf "%d trace events, %d ledger entries@."
     (List.length t.records) (List.length t.entries);
+  if t.dropped_bytes > 0 then
+    Format.fprintf ppf "cut recording: dropped %d bytes of an unfinished last \
+                        line@." t.dropped_bytes;
   (match timeline t with
   | [] -> Format.fprintf ppf "timeline: empty@."
   | lines ->

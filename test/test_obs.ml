@@ -21,39 +21,39 @@ let test_hist_quantiles_uniform () =
   let r = Metrics.create () in
   let h = Metrics.histogram r "u" in
   for i = 1 to 1000 do
-    Metrics.observe h (float_of_int i)
+    Digest.add h (float_of_int i)
   done;
-  close "p50 of 1..1000" 500.0 (Metrics.quantile h 0.50);
-  close "p90 of 1..1000" 900.0 (Metrics.quantile h 0.90);
-  close "p99 of 1..1000" 990.0 (Metrics.quantile h 0.99);
-  Alcotest.(check int) "count" 1000 (Metrics.histogram_count h)
+  close "p50 of 1..1000" 500.0 (Digest.quantile h 0.50);
+  close "p90 of 1..1000" 900.0 (Digest.quantile h 0.90);
+  close "p99 of 1..1000" 990.0 (Digest.quantile h 0.99);
+  Alcotest.(check int) "count" 1000 (Digest.count h)
 
 let test_hist_quantiles_exponential () =
   let r = Metrics.create () in
   let h = Metrics.histogram r "e" in
   (* A heavily skewed distribution: 990 small values, 10 huge ones. *)
   for _ = 1 to 990 do
-    Metrics.observe h 10.0
+    Digest.add h 10.0
   done;
   for _ = 1 to 10 do
-    Metrics.observe h 1.0e6
+    Digest.add h 1.0e6
   done;
-  close "p50 skewed" 10.0 (Metrics.quantile h 0.50);
-  close "p90 skewed" 10.0 (Metrics.quantile h 0.90);
-  close "p99.5 skewed" 1.0e6 (Metrics.quantile h 0.995)
+  close "p50 skewed" 10.0 (Digest.quantile h 0.50);
+  close "p90 skewed" 10.0 (Digest.quantile h 0.90);
+  close "p99.5 skewed" 1.0e6 (Digest.quantile h 0.995)
 
 let test_hist_zero_and_clamp () =
   let r = Metrics.create () in
   let h = Metrics.histogram r "z" in
-  List.iter (Metrics.observe h) [ 0.0; 0.0; 0.0; 42.0; 43.0 ];
+  List.iter (Digest.add h) [ 0.0; 0.0; 0.0; 42.0; 43.0 ];
   Alcotest.(check (float 1e-9)) "p50 lands in the zero bucket" 0.0
-    (Metrics.quantile h 0.50);
+    (Digest.quantile h 0.50);
   (* The top quantile must clamp to the observed max, not a bucket
      boundary above it. *)
   Alcotest.(check bool) "p99 clamped to max" true
-    (Metrics.quantile h 0.99 <= 43.0);
+    (Digest.quantile h 0.99 <= 43.0);
   Alcotest.(check (float 1e-9)) "empty histogram quantile" 0.0
-    (Metrics.quantile (Metrics.histogram r "empty") 0.5)
+    (Digest.quantile (Metrics.histogram r "empty") 0.5)
 
 let test_registry_snapshot_diff () =
   let r = Metrics.create () in
@@ -62,12 +62,12 @@ let test_registry_snapshot_diff () =
   let h = Metrics.histogram r "h" in
   Metrics.incr ~by:5 c;
   Metrics.set g 1.5;
-  Metrics.observe h 100.0;
+  Digest.add h 100.0;
   let before = Metrics.snapshot r in
   Metrics.incr ~by:7 c;
   Metrics.set g 9.0;
-  Metrics.observe h 200.0;
-  Metrics.observe h 300.0;
+  Digest.add h 200.0;
+  Digest.add h 300.0;
   let after = Metrics.snapshot r in
   let d = Metrics.diff ~before ~after in
   Alcotest.(check (option int)) "counter delta" (Some 7)
@@ -77,8 +77,8 @@ let test_registry_snapshot_diff () =
   (match Metrics.histogram_in d "h" with
   | None -> Alcotest.fail "histogram missing from diff"
   | Some hs ->
-    Alcotest.(check int) "histogram delta count" 2 hs.Metrics.hs_count;
-    Alcotest.(check (float 1e-6)) "histogram delta sum" 500.0 hs.Metrics.hs_sum);
+    Alcotest.(check int) "histogram delta count" 2 (Digest.count hs);
+    Alcotest.(check (float 1e-6)) "histogram delta sum" 500.0 (Digest.sum hs));
   (* reset zeroes in place: the old handle keeps working. *)
   Metrics.reset r;
   Alcotest.(check int) "reset zeroes counters" 0 (Metrics.counter_value c);
@@ -89,7 +89,7 @@ let test_registry_snapshot_diff () =
 let test_metrics_to_json () =
   let r = Metrics.create () in
   Metrics.incr ~by:3 (Metrics.counter r "probes");
-  Metrics.observe (Metrics.histogram r "lat") 50.0;
+  Digest.add (Metrics.histogram r "lat") 50.0;
   let s = San_util.Json.to_string (Metrics.to_json (Metrics.snapshot r)) in
   match San_util.Json.of_string s with
   | Error e -> Alcotest.fail ("metrics JSON does not parse: " ^ e)
@@ -99,7 +99,7 @@ let test_metrics_to_json () =
       (Option.bind (San_util.Json.member "probes" counters) San_util.Json.to_int)
 
 (* Pin the quantile corner cases: these behaviors are part of the
-   exporter contract (Prometheus summaries call quantile_of on
+   exporter contract (Prometheus summaries call Digest.quantile on
    whatever the run produced, including nothing at all). *)
 let test_hist_quantile_edges () =
   let r = Metrics.create () in
@@ -110,36 +110,36 @@ let test_hist_quantile_edges () =
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "empty q=%g" q)
         0.0
-        (Metrics.quantile h_empty q))
+        (Digest.quantile h_empty q))
     [ 0.0; 0.5; 1.0 ];
   (* single observation: min/max clamping pins every quantile to it *)
   let h_one = Metrics.histogram r "one" in
-  Metrics.observe h_one 42.0;
+  Digest.add h_one 42.0;
   List.iter
     (fun q ->
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "single obs q=%g" q)
         42.0
-        (Metrics.quantile h_one q))
+        (Digest.quantile h_one q))
     [ 0.0; 0.5; 1.0 ];
   (* all-zero observations land in the zero bucket *)
   let h_zero = Metrics.histogram r "zeros" in
   for _ = 1 to 10 do
-    Metrics.observe h_zero 0.0
+    Digest.add h_zero 0.0
   done;
   List.iter
     (fun q ->
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "all-zero q=%g" q)
         0.0
-        (Metrics.quantile h_zero q))
+        (Digest.quantile h_zero q))
     [ 0.0; 0.5; 1.0 ];
   (* q=0 and q=1 clamp into the observed [min,max]; the answer is a
      geometric bucket midpoint, so it lands within one bucket (~9%
      relative) of the true extreme, never outside it *)
   let h = Metrics.histogram r "spread" in
-  List.iter (Metrics.observe h) [ 3.0; 17.0; 1000.0 ];
-  let q0 = Metrics.quantile h 0.0 and q1 = Metrics.quantile h 1.0 in
+  List.iter (Digest.add h) [ 3.0; 17.0; 1000.0 ];
+  let q0 = Digest.quantile h 0.0 and q1 = Digest.quantile h 1.0 in
   Alcotest.(check bool) "q=0 within a bucket of the min" true
     (q0 >= 3.0 && q0 <= 3.0 *. 1.10);
   Alcotest.(check bool) "q=1 within a bucket of the max" true
@@ -153,10 +153,10 @@ let test_hist_json_finite () =
   let r = Metrics.create () in
   ignore (Metrics.histogram r "silent");
   let h = Metrics.histogram r "negative" in
-  Metrics.observe h (-2.5);
+  Digest.add h (-2.5);
   (* non-positive observations land in the zero bucket *)
   Alcotest.(check (float 1e-9))
-    "negative obs p99" 0.0 (Metrics.quantile h 0.99);
+    "negative obs p99" 0.0 (Digest.quantile h 0.99);
   let before = Metrics.snapshot r in
   let after = Metrics.snapshot r in
   let window = Metrics.diff ~before ~after in
@@ -197,13 +197,13 @@ let test_diff_restart_adopts_after () =
   let c = Metrics.counter r "probes" in
   Metrics.incr ~by:7 c;
   (* pre-reset population: two observations in the 100ish bucket *)
-  Metrics.observe h 100.0;
-  Metrics.observe h 110.0;
+  Digest.add h 100.0;
+  Digest.add h 110.0;
   let before = Metrics.snapshot r in
   Metrics.reset r;
   (* post-reset: only NEW buckets (5.0 is far from 100.0), and fewer
      observations than the window started with *)
-  Metrics.observe h 5.0;
+  Digest.add h 5.0;
   Metrics.incr ~by:2 c;
   let after = Metrics.snapshot r in
   let d = Metrics.diff ~before ~after in
@@ -211,40 +211,42 @@ let test_diff_restart_adopts_after () =
     "restarted counter adopts after-value" (Some 2)
     (Metrics.counter_in d "probes");
   let hs = Option.get (Metrics.histogram_in d "lat") in
-  Alcotest.(check int) "restarted histogram adopts after-count" 1 hs.hs_count;
-  Alcotest.(check int) "no negative zero bucket" 0 hs.hs_zero;
+  Alcotest.(check int) "restarted histogram adopts after-count" 1
+    (Digest.count hs);
+  Alcotest.(check int) "no negative zero bucket" 0 (Digest.zero hs);
   List.iter
     (fun (b, n) ->
       if n < 0 then Alcotest.failf "bucket %d has negative delta %d" b n)
-    hs.hs_buckets;
-  Alcotest.(check (float 1e-9)) "sum is the post-reset sum" 5.0 hs.hs_sum;
+    (Digest.buckets hs);
+  Alcotest.(check (float 1e-9)) "sum is the post-reset sum" 5.0 (Digest.sum hs);
   (* same reset, but the post-reset window re-populates an OLD bucket
      past its before-count: that looks like plain growth per-bucket,
      and the shrunken zero bucket is the only restart telltale *)
   let h2 = Metrics.histogram r "zeroes" in
-  Metrics.observe h2 0.0;
-  Metrics.observe h2 50.0;
+  Digest.add h2 0.0;
+  Digest.add h2 50.0;
   let before2 = Metrics.snapshot r in
   Metrics.reset r;
-  List.iter (Metrics.observe h2) [ 50.0; 51.0; 52.0 ];
+  List.iter (Digest.add h2) [ 50.0; 51.0; 52.0 ];
   let d2 = Metrics.diff ~before:before2 ~after:(Metrics.snapshot r) in
   let hs2 = Option.get (Metrics.histogram_in d2 "zeroes") in
-  Alcotest.(check int) "zero-bucket shrink detected as restart" 3 hs2.hs_count;
-  Alcotest.(check int) "adopted zero bucket" 0 hs2.hs_zero
+  Alcotest.(check int) "zero-bucket shrink detected as restart" 3
+    (Digest.count hs2);
+  Alcotest.(check int) "adopted zero bucket" 0 (Digest.zero hs2)
 
 (* A diff window with no reset still subtracts (the restart detection
    must not misfire on plain growth). *)
 let test_diff_plain_growth_still_subtracts () =
   let r = Metrics.create () in
   let h = Metrics.histogram r "lat" in
-  Metrics.observe h 100.0;
+  Digest.add h 100.0;
   let before = Metrics.snapshot r in
-  Metrics.observe h 100.0;
-  Metrics.observe h 200.0;
+  Digest.add h 100.0;
+  Digest.add h 200.0;
   let d = Metrics.diff ~before ~after:(Metrics.snapshot r) in
   let hs = Option.get (Metrics.histogram_in d "lat") in
-  Alcotest.(check int) "window count is the delta" 2 hs.hs_count;
-  Alcotest.(check (float 1e-9)) "window sum is the delta" 300.0 hs.hs_sum
+  Alcotest.(check int) "window count is the delta" 2 (Digest.count hs);
+  Alcotest.(check (float 1e-9)) "window sum is the delta" 300.0 (Digest.sum hs)
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring buffer                                                   *)
@@ -410,9 +412,9 @@ let test_mapper_trace_matches_stats () =
   | None -> Alcotest.fail "probe cost histogram missing"
   | Some hs ->
     Alcotest.(check int) "every probe cost observed"
-      (Stats.total_probes st) hs.Metrics.hs_count;
+      (Stats.total_probes st) (Digest.count hs);
     close ~rel:1e-9 "cost sum is the serialized time" st.Stats.serial_time_ns
-      hs.Metrics.hs_sum);
+      (Digest.sum hs));
   (* Replicate merges were traced: created - live = merged away. *)
   let merges =
     count (function Trace.Replicate_merged _ -> true | _ -> false)

@@ -1,6 +1,7 @@
 open San_topology
 open San_service
 module D = San_routing.Distribute
+module Slo = San_telemetry.Slo
 
 (* ---------- world ---------- *)
 
@@ -195,6 +196,92 @@ let test_daemon_quiet_run_never_redistributes () =
           true (r.Daemon.dist = None))
     o.Daemon.reports
 
+(* A rolling upgrade that pulls the leader's own switch leaves a
+   one-host map with no switch, hence no routes to verify through; the
+   daemon must still notice when that switch comes back and remap. *)
+let test_daemon_sees_leader_switch_return () =
+  let g, _ = Generators.now_cab () in
+  let schedule =
+    Schedule.of_list (Result.get_ok (Schedule.scenario ~epochs:10 "rolling"))
+  in
+  let config = { Daemon.default_config with Daemon.seed = 12 } in
+  let o = Result.get_ok (Daemon.run ~config ~schedule ~epochs:10 g) in
+  let r7 = List.nth o.Daemon.reports 7 and r8 = List.nth o.Daemon.reports 8 in
+  Alcotest.(check int) "switchless map at epoch 7" 1 r7.Daemon.hosts_total;
+  Alcotest.(check int) "its verification sends the switch probe" 1
+    r7.Daemon.probes;
+  Alcotest.(check bool) "the returned switch triggers a remap" true
+    (match r8.Daemon.verdict with Daemon.Changed _ -> true | _ -> false);
+  let last = List.nth o.Daemon.reports 9 in
+  Alcotest.(check (pair int int)) "ends with every host covered" (100, 100)
+    (last.Daemon.hosts_covered, last.Daemon.hosts_total)
+
+(* The alert story of a seeded storm under hotspot load, pinned from
+   the daemon as it stood when health rules and SLO objectives were
+   two separate engines: every epoch's raised/cleared lists, the final
+   health history and the SLO statuses. *)
+let storm_alert_story () =
+  let g = Generators.fat_tree ~leaves:2 ~hosts_per_leaf:2 ~spines:4 () in
+  let schedule =
+    Schedule.of_list (Result.get_ok (Schedule.scenario ~epochs:8 "storm"))
+  in
+  let config =
+    {
+      Daemon.default_config with
+      Daemon.seed = 5;
+      load =
+        Some (San_slo.Load.spec ~pattern:San_slo.Load.Hotspot 1.0);
+      slos = Slo.defaults;
+    }
+  in
+  let o = Result.get_ok (Daemon.run ~config ~schedule ~epochs:8 g) in
+  let names l = String.concat "," l in
+  List.map
+    (fun (r : Daemon.epoch_report) ->
+      Printf.sprintf "epoch %d health +[%s] -[%s] slo +[%s] -[%s]"
+        r.Daemon.epoch (names r.Daemon.alerts_raised)
+        (names r.Daemon.alerts_cleared) (names r.Daemon.slo_raised)
+        (names r.Daemon.slo_cleared))
+    o.Daemon.reports
+  @ List.map
+      (fun (a : Slo.alert) ->
+        Printf.sprintf "alert %s raised %d cleared %s worst %h"
+          a.Slo.objective.Slo.name a.Slo.raised_epoch
+          (match a.Slo.cleared_epoch with
+          | Some e -> string_of_int e
+          | None -> "-")
+          a.Slo.worst)
+      o.Daemon.health
+  @ List.map
+      (fun (st : Slo.status) ->
+        Printf.sprintf "slo %s eligible %d bad %d burn %h streak %d alerting %b"
+          st.Slo.st_objective.Slo.name st.Slo.st_eligible st.Slo.st_bad
+          st.Slo.st_burn_rate st.Slo.st_streak st.Slo.st_alerting)
+      o.Daemon.slo
+
+let storm_alert_story_pinned =
+  [
+    "epoch 0 health +[] -[] slo +[] -[]";
+    "epoch 1 health +[] -[] slo +[] -[]";
+    "epoch 2 health +[coverage] -[] slo +[] -[]";
+    "epoch 3 health +[] -[coverage] slo +[slo:coverage-p95] -[]";
+    "epoch 4 health +[coverage] -[] slo +[] -[]";
+    "epoch 5 health +[] -[] slo +[] -[]";
+    "epoch 6 health +[] -[] slo +[] -[]";
+    "epoch 7 health +[] -[] slo +[] -[]";
+    "alert coverage raised 2 cleared 3 worst 0x0p+0";
+    "alert coverage raised 4 cleared - worst 0x0p+0";
+    "slo converge-p95 eligible 5 bad 0 burn 0x0p+0 streak 0 alerting false";
+    "slo epoch-p99 eligible 7 bad 0 burn 0x0p+0 streak 0 alerting false";
+    "slo drop-p95 eligible 0 bad 0 burn 0x0p+0 streak 0 alerting false";
+    "slo coverage-p95 eligible 7 bad 5 burn 0x1.c92492492491ep+3 streak 6 \
+     alerting true";
+  ]
+
+let test_daemon_storm_alert_story () =
+  Alcotest.(check (list string)) "alert story" storm_alert_story_pinned
+    (storm_alert_story ())
+
 let test_daemon_rejects_hostless_net () =
   let g = Graph.create () in
   ignore (Graph.add_switch g ());
@@ -230,6 +317,10 @@ let () =
           Alcotest.test_case "converges after link cut" `Quick
             test_daemon_converges_after_link_cut;
           Alcotest.test_case "deterministic" `Quick test_daemon_deterministic;
+          Alcotest.test_case "sees the leader's switch return" `Quick
+            test_daemon_sees_leader_switch_return;
+          Alcotest.test_case "storm alert story" `Quick
+            test_daemon_storm_alert_story;
           Alcotest.test_case "re-elects on leader death" `Quick
             test_daemon_reelects_on_leader_death;
           Alcotest.test_case "quiet run" `Quick

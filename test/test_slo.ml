@@ -1,10 +1,12 @@
 (* The SLO observatory: digest merge algebra (merge of digests equals
    the digest of the concatenated streams, exactly), quantile accuracy
-   within the guaranteed relative error, JSON round-trips, load-window
+   within the guaranteed relative error, load-window
    coupling, and burn-rate alerts raising and clearing under a
    scripted load ramp. *)
 
 open San_slo
+module Digest = San_obs.Digest
+module Slo = San_telemetry.Slo
 
 let close ?(rel = 0.10) msg expected got =
   let ok = Float.abs (got -. expected) <= rel *. Float.abs expected in
@@ -106,9 +108,6 @@ let test_quantile_empty_and_single () =
         (Printf.sprintf "empty q=%g" q)
         0.0 (Digest.quantile e q))
     [ 0.0; 0.5; 0.99; 1.0 ];
-  (match Digest.of_json (Digest.to_json e) with
-  | None -> Alcotest.fail "empty digest JSON did not parse back"
-  | Some e' -> Alcotest.(check int) "empty roundtrip count" 0 (Digest.count e'));
   let one = Digest.of_list [ 42.0 ] in
   List.iter
     (fun q ->
@@ -117,38 +116,22 @@ let test_quantile_empty_and_single () =
         42.0 (Digest.quantile one q))
     [ 0.0; 0.5; 0.99; 1.0 ]
 
-let test_json_roundtrip () =
-  let d = Digest.of_list (samples 9 500) in
-  match Digest.of_json (Digest.to_json d) with
-  | None -> Alcotest.fail "digest JSON did not parse back"
-  | Some d' -> digests_equal "json roundtrip" d d'
-
-let test_adopts_hist_snapshot () =
-  (* A registry histogram window adopted as a digest answers the same
-     quantiles: both sides share the gamma-bucket scheme. *)
-  let r = San_obs.Metrics.create () in
-  let h = San_obs.Metrics.histogram r "w" in
-  let xs = samples 10 800 in
-  List.iter (San_obs.Metrics.observe h) xs;
-  let snap = San_obs.Metrics.snapshot r in
-  let hs =
-    Option.get (San_obs.Metrics.histogram_in snap "w")
-  in
-  digests_equal "adopted snapshot" (Digest.of_hist_snapshot hs)
-    (Digest.of_list xs)
-
 (* ------------------------------------------------------------------ *)
 (* SLO burn rate under a scripted ramp                                 *)
 
 let sample ?(epoch = 0) ?(load = 0.1) ?converge ?(epoch_ns = 1e6)
     ?(drop = 0.0) ?(coverage = 1.0) () =
   {
-    Slo.s_epoch = epoch;
-    s_load = load;
-    s_converge_ns = converge;
-    s_epoch_ns = epoch_ns;
-    s_drop_rate = drop;
-    s_coverage = coverage;
+    Slo.epoch;
+    load;
+    coverage;
+    convergence_epochs = 0;
+    converge_ns = converge;
+    epoch_ns;
+    delta_bytes = 0;
+    missed_slices = 0;
+    probe_drop_rate = 0.0;
+    drop_rate = drop;
   }
 
 let test_burn_raise_and_clear () =
@@ -161,7 +144,7 @@ let test_burn_raise_and_clear () =
     Slo.objective ~name:"drop" ~quantile:0.5 ~window:10 ~for_epochs:2
       ~metric:Slo.Drop_rate ~cmp:Slo.Below 0.2
   in
-  let t = Slo.create [ o ] in
+  let t = Slo.create ~label:"slo" [ o ] in
   let feed epoch drop = Slo.observe t (sample ~epoch ~drop ()) in
   (* Healthy epochs: no alert. *)
   for e = 0 to 3 do
@@ -205,7 +188,7 @@ let test_max_load_exempts () =
     Slo.objective ~name:"drop" ~quantile:0.5 ~max_load:0.3 ~window:10
       ~for_epochs:1 ~metric:Slo.Drop_rate ~cmp:Slo.Below 0.2
   in
-  let t = Slo.create [ o ] in
+  let t = Slo.create ~label:"slo" [ o ] in
   for e = 0 to 5 do
     let raised, _ =
       Slo.observe t (sample ~epoch:e ~load:2.0 ~drop:0.99 ())
@@ -220,7 +203,7 @@ let test_converge_charged_only_on_incidents () =
     Slo.objective ~name:"cvg" ~quantile:0.5 ~window:10 ~for_epochs:1
       ~metric:Slo.Converge_ns ~cmp:Slo.Below 100.0
   in
-  let t = Slo.create [ o ] in
+  let t = Slo.create ~label:"slo" [ o ] in
   (* Quiet epochs carry no incident: not eligible. *)
   for e = 0 to 4 do
     ignore (Slo.observe t (sample ~epoch:e ()))
@@ -235,7 +218,7 @@ let test_coverage_is_lower_bound () =
     Slo.objective ~name:"cov" ~quantile:0.5 ~window:10 ~for_epochs:1
       ~metric:Slo.Coverage ~cmp:Slo.Above 0.5
   in
-  let t = Slo.create [ o ] in
+  let t = Slo.create ~label:"slo" [ o ] in
   let raised, _ = Slo.observe t (sample ~coverage:0.2 ()) in
   Alcotest.(check (list string)) "low coverage raises" [ "slo:cov" ] raised
 
@@ -338,9 +321,6 @@ let () =
             test_zero_and_negative_bucket;
           Alcotest.test_case "empty and single-sample quantiles" `Quick
             test_quantile_empty_and_single;
-          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
-          Alcotest.test_case "adopts hist snapshot" `Quick
-            test_adopts_hist_snapshot;
         ] );
       ( "slo",
         [

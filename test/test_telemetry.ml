@@ -81,7 +81,7 @@ let test_prom_roundtrip () =
   Metrics.set (Metrics.gauge r "daemon.coverage") 0.8333333333333334;
   Metrics.set (Metrics.gauge r "window.depth") (-2.5);
   let h = Metrics.histogram r "probe.latency_ns" in
-  List.iter (Metrics.observe h) [ 120.0; 450.0; 450.0; 88_000.0; 0.0 ];
+  List.iter (San_obs.Digest.add h) [ 120.0; 450.0; 450.0; 88_000.0; 0.0 ];
   let snap = Metrics.snapshot r in
   let text = Prom.of_snapshot snap in
   let values = Prom.parse_values text in
@@ -109,17 +109,241 @@ let test_prom_roundtrip () =
   (* summaries carry the exact count and sum, and the library's own
      quantiles *)
   let hs = List.assoc "probe.latency_ns" snap.Metrics.s_histograms in
-  Alcotest.(check (float 0.0)) "summary count" (float_of_int hs.Metrics.hs_count)
+  Alcotest.(check (float 0.0)) "summary count"
+    (float_of_int (San_obs.Digest.count hs))
     (find "san_probe_latency_ns_count");
-  Alcotest.(check (float 0.0)) "summary sum" hs.Metrics.hs_sum
+  Alcotest.(check (float 0.0)) "summary sum" (San_obs.Digest.sum hs)
     (find "san_probe_latency_ns_sum");
   List.iter
     (fun (label, q) ->
       Alcotest.(check (float 0.0))
         ("quantile " ^ label)
-        (Metrics.quantile_of hs q)
+        (San_obs.Digest.quantile hs q)
         (find (Printf.sprintf "san_probe_latency_ns{quantile=%S}" label)))
     [ ("0.5", 0.5); ("0.9", 0.9); ("0.99", 0.99) ]
+
+(* The exact bytes of the registry's JSON and Prometheus exports,
+   pinned from the log-bucket sketch as it stood before histograms and
+   digests became one type. The sequence covers the zero bucket, a
+   negative observation, a histogram that never saw a value, a plain
+   subtraction window and a window with a [reset] in the middle. *)
+let pinned_registry_windows () =
+  let r = Metrics.create () in
+  let c = Metrics.counter r "probes.sent" in
+  let lat = Metrics.histogram r "lat_ns" in
+  let other = Metrics.histogram r "other" in
+  ignore (Metrics.histogram r "silent");
+  Metrics.incr ~by:3 c;
+  Metrics.set (Metrics.gauge r "coverage") 0.75;
+  List.iter (San_obs.Digest.add lat) [ 0.0; -1.5; 10.0 ];
+  San_obs.Digest.add other 3.0;
+  let s0 = Metrics.snapshot r in
+  Metrics.incr ~by:4 c;
+  List.iter (San_obs.Digest.add lat) [ 250.0; 250.0; 0.0; 1e6 ];
+  let s1 = Metrics.snapshot r in
+  Metrics.reset r;
+  Metrics.incr c;
+  List.iter (San_obs.Digest.add lat) [ 7.0; 0.0 ];
+  List.iter (San_obs.Digest.add other) [ 5.0; 6.0 ];
+  let s2 = Metrics.snapshot r in
+  [ s1; Metrics.diff ~before:s0 ~after:s1; Metrics.diff ~before:s1 ~after:s2 ]
+
+let pinned_json =
+  [
+    {|{
+  "counters": {
+    "probes.sent": 7
+  },
+  "gauges": {
+    "coverage": 0.75
+  },
+  "histograms": {
+    "lat_ns": {
+      "count": 7,
+      "sum": 1000508.5,
+      "min": -1.5,
+      "max": 1000000,
+      "p50": 9.9348624965878791,
+      "p90": 1000000,
+      "p99": 1000000
+    },
+    "other": {
+      "count": 1,
+      "sum": 3,
+      "min": 3,
+      "max": 3,
+      "p50": 3,
+      "p90": 3,
+      "p99": 3
+    },
+    "silent": {
+      "count": 0,
+      "sum": 0,
+      "min": 0,
+      "max": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0
+    }
+  }
+}|};
+    {|{
+  "counters": {
+    "probes.sent": 4
+  },
+  "gauges": {
+    "coverage": 0.75
+  },
+  "histograms": {
+    "lat_ns": {
+      "count": 4,
+      "sum": 1000500,
+      "min": -1.5,
+      "max": 1000000,
+      "p50": 245.14643985883529,
+      "p90": 1000000,
+      "p99": 1000000
+    },
+    "other": {
+      "count": 0,
+      "sum": 0,
+      "min": 0,
+      "max": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0
+    },
+    "silent": {
+      "count": 0,
+      "sum": 0,
+      "min": 0,
+      "max": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0
+    }
+  }
+}|};
+    {|{
+  "counters": {
+    "probes.sent": 1
+  },
+  "gauges": {
+    "coverage": 0
+  },
+  "histograms": {
+    "lat_ns": {
+      "count": 2,
+      "sum": 7,
+      "min": 0,
+      "max": 7,
+      "p50": 0,
+      "p90": 7,
+      "p99": 7
+    },
+    "other": {
+      "count": 2,
+      "sum": 11,
+      "min": 5,
+      "max": 6,
+      "p50": 5,
+      "p90": 5.9073045837580009,
+      "p99": 5.9073045837580009
+    },
+    "silent": {
+      "count": 0,
+      "sum": 0,
+      "min": 0,
+      "max": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0
+    }
+  }
+}|};
+  ]
+
+let pinned_prom =
+  [
+    {|# TYPE san_probes_sent counter
+san_probes_sent 7
+# TYPE san_coverage gauge
+san_coverage 0.75
+# TYPE san_lat_ns summary
+san_lat_ns{quantile="0.5"} 9.9348624965878791
+san_lat_ns{quantile="0.9"} 1000000
+san_lat_ns{quantile="0.99"} 1000000
+san_lat_ns_sum 1000508.5
+san_lat_ns_count 7
+# TYPE san_other summary
+san_other{quantile="0.5"} 3
+san_other{quantile="0.9"} 3
+san_other{quantile="0.99"} 3
+san_other_sum 3
+san_other_count 1
+# TYPE san_silent summary
+san_silent{quantile="0.5"} 0
+san_silent{quantile="0.9"} 0
+san_silent{quantile="0.99"} 0
+san_silent_sum 0
+san_silent_count 0
+|};
+    {|# TYPE san_probes_sent counter
+san_probes_sent 4
+# TYPE san_coverage gauge
+san_coverage 0.75
+# TYPE san_lat_ns summary
+san_lat_ns{quantile="0.5"} 245.14643985883529
+san_lat_ns{quantile="0.9"} 1000000
+san_lat_ns{quantile="0.99"} 1000000
+san_lat_ns_sum 1000500
+san_lat_ns_count 4
+# TYPE san_other summary
+san_other{quantile="0.5"} 0
+san_other{quantile="0.9"} 0
+san_other{quantile="0.99"} 0
+san_other_sum 0
+san_other_count 0
+# TYPE san_silent summary
+san_silent{quantile="0.5"} 0
+san_silent{quantile="0.9"} 0
+san_silent{quantile="0.99"} 0
+san_silent_sum 0
+san_silent_count 0
+|};
+    {|# TYPE san_probes_sent counter
+san_probes_sent 1
+# TYPE san_coverage gauge
+san_coverage 0
+# TYPE san_lat_ns summary
+san_lat_ns{quantile="0.5"} 0
+san_lat_ns{quantile="0.9"} 7
+san_lat_ns{quantile="0.99"} 7
+san_lat_ns_sum 7
+san_lat_ns_count 2
+# TYPE san_other summary
+san_other{quantile="0.5"} 5
+san_other{quantile="0.9"} 5.9073045837580009
+san_other{quantile="0.99"} 5.9073045837580009
+san_other_sum 11
+san_other_count 2
+# TYPE san_silent summary
+san_silent{quantile="0.5"} 0
+san_silent{quantile="0.9"} 0
+san_silent{quantile="0.99"} 0
+san_silent_sum 0
+san_silent_count 0
+|};
+  ]
+
+let test_pinned_export_bytes () =
+  let json =
+    List.map
+      (fun s -> San_util.Json.to_string (Metrics.to_json s))
+      (pinned_registry_windows ())
+  and prom = List.map Prom.of_snapshot (pinned_registry_windows ()) in
+  Alcotest.(check (list string)) "to_json bytes" pinned_json json;
+  Alcotest.(check (list string)) "prometheus bytes" pinned_prom prom
 
 (* An empty registry must expose as an empty, parseable document —
    the scrape endpoint serves whatever exists, including nothing. *)
@@ -267,98 +491,82 @@ let test_dot_heat_renders () =
   Alcotest.(check bool) "heat map colors wires" true
     (Astring.String.is_infix ~affix:"color=" dot)
 
-(* ---------- health window ---------- *)
+(* ---------- health rules ---------- *)
 
 let sample ?(coverage = 1.0) ?(convergence = 0) ?(delta = 0) ?(missed = 0)
     ?(drop = 0.0) epoch =
   {
-    Health.epoch;
+    Slo.epoch;
+    load = 0.0;
     coverage;
     convergence_epochs = convergence;
+    converge_ns = None;
+    epoch_ns = 1e6;
     delta_bytes = delta;
     missed_slices = missed;
     probe_drop_rate = drop;
-    epoch_ms = 1.0;
+    drop_rate = drop;
   }
+
+(* A health rule: a one-epoch-window objective. *)
+let rule ?(for_epochs = 1) name metric cmp limit =
+  Slo.objective ~name ~window:1 ~for_epochs ~metric ~cmp limit
+
+let active h = List.filter (fun a -> a.Slo.cleared_epoch = None) (Slo.history h)
 
 let test_health_for_epochs_streak () =
   (* a for_epochs=2 rule ignores a single bad epoch but fires on the
      streak, and clears on the first good epoch *)
-  let rules =
-    [
-      {
-        Health.rule_name = "drops";
-        metric = Health.Probe_drop_rate;
-        cmp = Health.Above;
-        threshold = 0.25;
-        for_epochs = 2;
-      };
-    ]
+  let h =
+    Slo.create [ rule ~for_epochs:2 "drops" Slo.Probe_drop_rate Slo.Below 0.25 ]
   in
-  let h = Health.create ~rules () in
-  let r1, c1 = Health.observe h (sample ~drop:0.5 1) in
+  let r1, c1 = Slo.observe h (sample ~drop:0.5 1) in
   Alcotest.(check (list string)) "one bad epoch is weather" [] r1;
   Alcotest.(check (list string)) "nothing to clear" [] c1;
-  let r2, _ = Health.observe h (sample ~drop:0.0 2) in
+  let r2, _ = Slo.observe h (sample ~drop:0.0 2) in
   Alcotest.(check (list string)) "streak broken, still quiet" [] r2;
-  let _ = Health.observe h (sample ~drop:0.5 3) in
-  let r4, _ = Health.observe h (sample ~drop:0.6 4) in
+  let _ = Slo.observe h (sample ~drop:0.5 3) in
+  let r4, _ = Slo.observe h (sample ~drop:0.6 4) in
   Alcotest.(check (list string)) "second consecutive breach raises"
     [ "drops" ] r4;
-  Alcotest.(check int) "alert is active" 1 (List.length (Health.active h));
-  let r5, c5 = Health.observe h (sample ~drop:0.7 5) in
+  Alcotest.(check int) "alert is active" 1 (List.length (active h));
+  let r5, c5 = Slo.observe h (sample ~drop:0.7 5) in
   Alcotest.(check (list string)) "no re-raise while active" [] r5;
   Alcotest.(check (list string)) "not cleared while breaching" [] c5;
-  let _, c6 = Health.observe h (sample ~drop:0.0 6) in
+  let _, c6 = Slo.observe h (sample ~drop:0.0 6) in
   Alcotest.(check (list string)) "first good epoch clears" [ "drops" ] c6;
-  Alcotest.(check int) "no active alerts left" 0
-    (List.length (Health.active h));
-  match (Health.report h).Health.r_history with
+  Alcotest.(check int) "no active alerts left" 0 (List.length (active h));
+  match Slo.history h with
   | [ a ] ->
     Alcotest.(check int) "raised on the streak's second epoch" 4
-      a.Health.raised_epoch;
-    Alcotest.(check bool) "cleared at 6" true (a.Health.cleared_epoch = Some 6);
-    Alcotest.(check (float 1e-9)) "worst value tracked" 0.7 a.Health.worst
+      a.Slo.raised_epoch;
+    Alcotest.(check bool) "cleared at 6" true (a.Slo.cleared_epoch = Some 6);
+    Alcotest.(check (float 1e-9)) "worst value tracked" 0.7 a.Slo.worst
   | l -> Alcotest.failf "expected one alert in history, got %d" (List.length l)
 
 let test_health_below_rule_and_window () =
-  let rules =
-    [
-      {
-        Health.rule_name = "coverage";
-        metric = Health.Coverage;
-        cmp = Health.Below;
-        threshold = 1.0;
-        for_epochs = 1;
-      };
-    ]
+  (* The rule's one-epoch window is what makes it a health rule; a
+     wider window beside it keeps exactly its trailing epochs. *)
+  let wide =
+    Slo.objective ~name:"wide" ~window:3 ~metric:Slo.Coverage ~cmp:Slo.Above
+      0.5
   in
-  let h = Health.create ~window:3 ~rules () in
-  let r1, _ = Health.observe h (sample ~coverage:0.8 1) in
+  let h = Slo.create [ rule "coverage" Slo.Coverage Slo.Above 1.0; wide ] in
+  let r1, _ = Slo.observe h (sample ~coverage:0.8 1) in
   Alcotest.(check (list string)) "below threshold raises immediately"
     [ "coverage" ] r1;
-  let _, c2 = Health.observe h (sample ~coverage:1.0 2) in
+  let _, c2 = Slo.observe h (sample ~coverage:1.0 2) in
   Alcotest.(check (list string)) "full coverage clears" [ "coverage" ] c2;
-  List.iter (fun e -> ignore (Health.observe h (sample e))) [ 3; 4; 5 ];
-  Alcotest.(check (list int)) "window keeps the trailing 3 epochs" [ 3; 4; 5 ]
-    (List.map (fun s -> s.Health.epoch) (Health.samples h))
+  List.iter (fun e -> ignore (Slo.observe h (sample e))) [ 3; 4; 5 ];
+  Alcotest.(check (list int)) "windows keep the trailing 1 and 3 epochs"
+    [ 1; 3 ]
+    (List.map (fun st -> st.Slo.st_eligible) (Slo.status h))
 
 let test_health_emits_trace_events () =
   with_obs @@ fun () ->
-  let rules =
-    [
-      {
-        Health.rule_name = "missed";
-        metric = Health.Missed_slices;
-        cmp = Health.Above;
-        threshold = 0.0;
-        for_epochs = 1;
-      };
-    ]
-  in
-  let h = Health.create ~rules () in
-  ignore (Health.observe h (sample ~missed:2 7));
-  ignore (Health.observe h (sample 8));
+  let h = Slo.create [ rule "missed" Slo.Missed_slices Slo.Below 0.0 ] in
+  ignore (Slo.observe h (sample ~missed:2 7));
+  ignore (Slo.observe h (sample 8));
   let evs = Trace.events Obs.tracer in
   Alcotest.(check bool) "raise hits the tracer" true
     (List.mem (Trace.Alert_raised { name = "missed"; epoch = 7 }) evs);
@@ -393,21 +601,24 @@ let test_daemon_link_cut_alerts () =
     coverage_cleared;
   let cov_alerts =
     List.filter
-      (fun a -> a.Health.a_rule.Health.rule_name = "coverage")
-      o.San_service.Daemon.health.Health.r_history
+      (fun a -> a.Slo.objective.Slo.name = "coverage")
+      o.San_service.Daemon.health
   in
   (match cov_alerts with
   | [ a ] ->
-    Alcotest.(check int) "report raised epoch" 2 a.Health.raised_epoch;
+    Alcotest.(check int) "report raised epoch" 2 a.Slo.raised_epoch;
     Alcotest.(check bool) "report cleared epoch" true
-      (a.Health.cleared_epoch = Some 3);
+      (a.Slo.cleared_epoch = Some 3);
     Alcotest.(check bool) "worst coverage is a real dip" true
-      (a.Health.worst < 1.0)
+      (a.Slo.worst < 1.0)
   | l ->
     Alcotest.failf "expected one coverage alert in history, got %d"
       (List.length l));
   Alcotest.(check int) "nothing left active" 0
-    (List.length o.San_service.Daemon.health.Health.r_active);
+    (List.length
+       (List.filter
+          (fun a -> a.Slo.cleared_epoch = None)
+          o.San_service.Daemon.health));
   (* the per-epoch reports carry the same story *)
   let by_epoch e =
     List.find (fun r -> r.San_service.Daemon.epoch = e) o.San_service.Daemon.reports
@@ -422,7 +633,7 @@ let test_daemon_quiet_run_no_alerts () =
   let g, _ = Generators.now_c () in
   let o = Result.get_ok (San_service.Daemon.run ~epochs:4 g) in
   Alcotest.(check int) "no alerts on a healthy fabric" 0
-    (List.length o.San_service.Daemon.health.Health.r_history);
+    (List.length o.San_service.Daemon.health);
   Alcotest.(check bool) "no alert events traced" true
     (List.for_all
        (fun ev ->
@@ -432,7 +643,11 @@ let test_daemon_quiet_run_no_alerts () =
        (Trace.events Obs.tracer));
   (* every warm epoch sampled *)
   Alcotest.(check int) "one sample per warm epoch" 3
-    (List.length o.San_service.Daemon.health.Health.r_samples)
+    (List.length
+       (List.filter
+          (fun (r : San_service.Daemon.epoch_report) ->
+            r.San_service.Daemon.health <> None)
+          o.San_service.Daemon.reports))
 
 (* ---------- sparklines ---------- *)
 
@@ -465,6 +680,8 @@ let () =
           Alcotest.test_case "empty registry" `Quick test_prom_empty_registry;
           Alcotest.test_case "gauge overwrite within window" `Quick
             test_prom_gauge_overwrite;
+          Alcotest.test_case "pinned export bytes" `Quick
+            test_pinned_export_bytes;
         ] );
       ( "fabric",
         [

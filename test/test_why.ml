@@ -316,6 +316,83 @@ let test_flight_roundtrip_postmortem () =
             Alcotest.(check bool) "pp shows the ledger tail" true
               (Astring.String.is_infix ~affix:"test_rule" pp)))
 
+(* A cut flight file — what a crash mid-write leaves — reads as the
+   intact lines before the cut, at every cut offset, and says how many
+   bytes it dropped. A bad line that is followed by more lines is
+   corruption, not a cut: it fails with a one-line error. *)
+let test_cut_flight_reads_its_prefix () =
+  San_obs.Obs.set_enabled true;
+  San_obs.Obs.reset ();
+  Fun.protect
+    ~finally:(fun () -> San_obs.Obs.set_enabled false)
+    (fun () ->
+      with_why (fun () ->
+          for e = 0 to 3 do
+            San_obs.Obs.emit
+              (San_obs.Trace.Daemon_transition
+                 { epoch = e; from_ = "stable"; to_ = "verifying" });
+            San_obs.Obs.emit
+              (San_obs.Trace.Alert_raised { name = "coverage"; epoch = e })
+          done;
+          ignore (Why.deduce ~rule:"cut_rule" ~fact:(lazy "a cut fact") ());
+          let dir = temp_dir () in
+          let path = Filename.concat dir "flight-cut-full.jsonl" in
+          (match San_why.Flight.write ~path ~note:"cut test" ~epoch:3 () with
+          | Error e -> Alcotest.fail e
+          | Ok () -> ());
+          let full = Result.get_ok (San_why.Postmortem.read path) in
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          let cut = Filename.concat dir "flight-cut.jsonl" in
+          let write s =
+            Out_channel.with_open_bin cut (fun oc -> output_string oc s)
+          in
+          let rec is_prefix a b =
+            match (a, b) with
+            | [], _ -> true
+            | x :: a', y :: b' -> x = y && is_prefix a' b'
+            | _ :: _, [] -> false
+          in
+          for off = 0 to String.length text do
+            write (String.sub text 0 off);
+            match San_why.Postmortem.read cut with
+            | exception ex ->
+              Alcotest.failf "offset %d: %s escaped" off (Printexc.to_string ex)
+            | Error e -> Alcotest.failf "offset %d: %s" off e
+            | Ok t ->
+              let kept =
+                match String.rindex_from_opt text (max 0 (off - 1)) '\n' with
+                | Some i when off > 0 -> i + 1
+                | _ -> 0
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "offset %d: dropped bytes" off)
+                (off - kept) t.San_why.Postmortem.dropped_bytes;
+              if
+                not
+                  (is_prefix t.San_why.Postmortem.records
+                     full.San_why.Postmortem.records
+                  && is_prefix t.San_why.Postmortem.entries
+                       full.San_why.Postmortem.entries)
+              then Alcotest.failf "offset %d: not a prefix of the recording" off
+          done;
+          Alcotest.(check int) "the intact file drops nothing" 0
+            full.San_why.Postmortem.dropped_bytes;
+          (* Corrupt the second line and keep the rest: an error, one
+             line long, naming the line. *)
+          let lines = String.split_on_char '\n' text in
+          write
+            (String.concat "\n"
+               (List.mapi
+                  (fun i l ->
+                    if i = 1 then String.sub l 0 (String.length l / 2) else l)
+                  lines));
+          match San_why.Postmortem.read cut with
+          | Ok _ -> Alcotest.fail "a corrupt middle line must not read"
+          | Error e ->
+            Alcotest.(check bool) "names the line" true
+              (Astring.String.is_prefix ~affix:"line 2: " e);
+            Alcotest.(check bool) "one line" false (String.contains e '\n')))
+
 let test_daemon_flight_reproduces_epoch_story () =
   (* Drive the daemon into Degraded (kill every host on a small star),
      then reconstruct the run from the flight file alone. *)
@@ -419,6 +496,8 @@ let () =
         [
           Alcotest.test_case "write/read roundtrip" `Quick
             test_flight_roundtrip_postmortem;
+          Alcotest.test_case "cut flight reads its prefix" `Quick
+            test_cut_flight_reads_its_prefix;
           Alcotest.test_case "daemon flight reproduces the epoch story"
             `Quick test_daemon_flight_reproduces_epoch_story;
         ] );

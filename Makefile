@@ -101,14 +101,17 @@ slo-smoke:
 	  --quiet --load 1.0 --load-pattern hotspot --scenario storm --seed 5
 	test -s BENCH_obs.json
 
-# The benchmark's map path, traced, at CI length: a few seconds of
-# ft-324 maps run untraced and then with a span around every layer.
-# Exits 1 if a map is not isomorphic to N - F, if its exported JSON
-# does not load back, or if the traced run's deterministic work
-# (probes, explorations, simulated time, depth) differs from the
-# untraced run's. Spans land in .perfbench/ (gitignored).
+# The benchmark's map and shard paths, traced, at CI length: a few
+# seconds of ft-324 maps, then of 4-shard ft-324 maps, each run
+# untraced and then with a span around every layer. Exits 1 if a map
+# is not isomorphic to N - F, if an exported JSON does not load back,
+# or if a traced run's deterministic work (map: probes, explorations,
+# simulated time, depth; shard: probes and the slowest shard's
+# simulated time) differs from its untraced run's. Spans land in
+# .perfbench/ (gitignored).
 perf-trace:
 	python3 perfbench/run.py --workload map-ft324 --seconds 3 --trace 1
+	python3 perfbench/run.py --workload shard-ft324 --seconds 3 --trace 1
 
 # Budgeted mapping at CI size: a seeded 30%-budget ft-100 run (the CLI
 # exits non-zero unless the partial map passes the subgraph embedding

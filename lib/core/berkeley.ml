@@ -81,7 +81,7 @@ let service_of_network net ~mapper =
    on-line mapper over the event-driven simulator. Returns
    (explorations, elapsed_ns, trace) and leaves the model stabilised
    but unpruned. *)
-let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
+let explore_service ?expand ?probe_budget ?tick ~policy
     ~depth_used ~record_trace sv model seeds =
   let frontier : Model.vid San_util.Fifo.t = San_util.Fifo.create () in
   List.iter (San_util.Fifo.add frontier) seeds;
@@ -106,7 +106,7 @@ let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
     go 0
   in
   let probe_pair v turn =
-    let probe = Model.probe_string model v @ [ turn ] in
+    let probe = Model.child_probe model v ~turn in
     let try_host () =
       let resp = with_retries (fun () -> sv.sv_host_probe ~turns:probe) in
       if Why.on () then
@@ -146,9 +146,10 @@ let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
     List.iter
       (fun turn ->
         let skip =
-          ((fill_only || policy.skip_known)
-          && Probe_order.already_known model v ~turn)
-          || (policy.window_pruning && Probe_order.provably_illegal model v ~turn)
+          match Model.turn_state model v ~turn with
+          | Model.Wired -> fill_only || policy.skip_known
+          | Model.Beyond_window -> policy.window_pruning
+          | Model.Open -> false
         in
         if not skip then probe_pair v turn)
       turn_order;
@@ -184,16 +185,20 @@ let explore_service ?(expand = fun _ -> true) ?probe_budget ?tick ~policy
       match San_util.Fifo.next_element frontier with
       | None -> ()
       | Some v ->
-        let path = Model.probe_string model v in
-        let within_depth = List.length path < depth_used in
-        (if within_depth && Model.is_live model v then begin
+        (if Model.probe_length model v < depth_used && Model.is_live model v
+         then begin
         (* A replicate of an explored class is not skipped outright:
            each worm holds the wires of its own path, so a member
            reached by a different route can probe into slots the first
            member physically could not (its worm would have collided
            with itself). Probing only the still-unknown slots keeps
            the heuristic's savings while recovering that evidence. *)
-        if expand path then begin
+        let in_scope =
+          match expand with
+          | None -> true
+          | Some f -> f (Model.probe_string model v)
+        in
+        if in_scope then begin
             if not (policy.skip_explored && Model.is_explored model v) then
               explore ~fill_only:false v
             else explore ~fill_only:true v

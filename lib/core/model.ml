@@ -21,14 +21,13 @@ type edge = {
    window narrowing in [add_edge]/[do_merge] proves every occupied slot
    of a switch lies in [-(radix-1), radix-1] (a slot outside that range
    empties the feasible-offset window first), so index [slot + s_base]
-   with s_base = radix-1 always fits. Hosts only ever use slot 0. *)
+   with s_base = radix-1 always fits. Hosts only ever use slot 0.
+   Only canonical vertices keep a record: a merge releases the absorbed
+   one, whose id then resolves through the union-find columns of [t]. *)
 type vertex = {
   v_id : vid;
   v_kind : vkind;
-  v_probe : San_simnet.Route.t;
-  mutable parent : vid; (* union-find; self when canonical *)
-  mutable pshift : int; (* own slot + pshift = parent slot *)
-  mutable slots : edge list array; (* canonical vertices only *)
+  slots : edge list array;
   s_base : int; (* array index = slot + s_base *)
   mutable explored : bool;
   mutable dead : bool;
@@ -36,13 +35,26 @@ type vertex = {
   mutable whi : int;
 }
 
+(* Probe strings form one forest of (parent node, turn) pairs: node 0
+   is the empty probe, and a vertex whose probe extends its parent
+   vertex's by one turn gets one node under the parent's node, so the
+   common prefixes of the breadth-first search are stored once. *)
 type t = {
   m_radix : int;
-  mutable verts : vertex array;
+  mutable verts : vertex array; (* [released] once merged away *)
   mutable nverts : int;
+  released : vertex;
+  mutable uf_parent : int array; (* union-find; self when canonical *)
+  mutable uf_shift : int array; (* own slot + uf_shift = parent slot *)
+  mutable v_node : int array; (* the vertex's probe-forest node *)
+  mutable pf_up : int array;
+  mutable pf_turn : int array;
+  mutable pf_len : int array;
+  mutable nnodes : int;
   host_names : (string, vid) Hashtbl.t;
   mergelist : vid Queue.t;
-  mutable all_edges : edge list;
+  mutable edges : edge array; (* creation order; dead ones drop out *)
+  mutable nedges : int;
   mutable n_edges_created : int;
   mutable n_edges_live : int;
   mutable n_verts_live : int;
@@ -59,61 +71,132 @@ let vertex t v =
   t.verts.(v)
 
 (* Union-find root lookup with path compression: afterwards every
-   vertex on the path points at the root, its [pshift] accumulated to
-   the root's frame. *)
+   vertex on the path points at the root, its shift accumulated to the
+   root's frame. *)
 let rec root t v =
-  let vx = t.verts.(v) in
-  let p = vx.parent in
+  let p = t.uf_parent.(v) in
   if p = v then v
   else begin
     let r = root t p in
     if p <> r then begin
-      vx.pshift <- vx.pshift + t.verts.(p).pshift;
-      vx.parent <- r
+      t.uf_shift.(v) <- t.uf_shift.(v) + t.uf_shift.(p);
+      t.uf_parent.(v) <- r
     end;
     r
   end
 
 (* The shift from [v]'s frame to its root [r]'s, read right after
    [root t v] compressed the path. *)
-let shift_to t v r = if r = v then 0 else t.verts.(v).pshift
+let shift_to t v r = if r = v then 0 else t.uf_shift.(v)
 
 let canonical t v = root t v
 
 let frame_shift t v = shift_to t v (root t v)
 
-let alloc t kind probe =
-  let id = t.nverts in
+let resized a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let new_node t ~up ~turn =
+  let n = t.nnodes in
+  if n >= Array.length t.pf_up then begin
+    let cap = 2 * n in
+    t.pf_up <- resized t.pf_up cap 0;
+    t.pf_turn <- resized t.pf_turn cap 0;
+    t.pf_len <- resized t.pf_len cap 0
+  end;
+  t.pf_up.(n) <- up;
+  t.pf_turn.(n) <- turn;
+  t.pf_len.(n) <- t.pf_len.(up) + 1;
+  t.nnodes <- n + 1;
+  n
+
+(* The rest of [l] once node [n]'s probe is stripped off its front;
+   raises [Exit] if [l] does not start with it. Allocates nothing. *)
+let rec strip t n l =
+  if n = 0 then l
+  else
+    match strip t t.pf_up.(n) l with
+    | x :: rest when x = t.pf_turn.(n) -> rest
+    | _ -> raise_notrace Exit
+
+(* The node for a child of [parent] behind [turn] created by [probe]:
+   one node under the parent's when [probe] is the parent's probe plus
+   [turn], as in the breadth-first search. A probe spliced in from
+   elsewhere (the randomized mapper's coupon paths) gets its own
+   chain. *)
+let probe_node t ~parent ~turn probe =
+  let up = t.v_node.(parent) in
+  match strip t up probe with
+  | [ x ] when x = turn -> new_node t ~up ~turn
+  | _ | (exception Exit) ->
+    List.fold_left (fun up turn -> new_node t ~up ~turn) 0 probe
+
+let record ~radix id kind =
   let nslots, s_base =
     match kind with
     | Vhost _ -> (1, 0)
-    | Vswitch -> ((2 * t.m_radix) - 1, t.m_radix - 1)
+    | Vswitch -> ((2 * radix) - 1, radix - 1)
   in
-  let vx =
-    {
-      v_id = id;
-      v_kind = kind;
-      v_probe = probe;
-      parent = id;
-      pshift = 0;
-      slots = Array.make nslots [];
-      s_base;
-      explored = false;
-      dead = false;
-      wlo = 0;
-      whi = t.m_radix - 1;
-    }
-  in
+  {
+    v_id = id;
+    v_kind = kind;
+    slots = Array.make nslots [];
+    s_base;
+    explored = false;
+    dead = false;
+    wlo = 0;
+    whi = radix - 1;
+  }
+
+let alloc t kind node =
+  let id = t.nverts in
+  let vx = record ~radix:t.m_radix id kind in
   if id >= Array.length t.verts then begin
-    let cap = max 16 (2 * Array.length t.verts) in
-    let a = Array.make cap vx in
-    Array.blit t.verts 0 a 0 id;
-    t.verts <- a
+    let cap = max 16 (2 * id) in
+    t.verts <- resized t.verts cap t.released;
+    t.uf_parent <- resized t.uf_parent cap 0;
+    t.uf_shift <- resized t.uf_shift cap 0;
+    t.v_node <- resized t.v_node cap 0
   end;
   t.verts.(id) <- vx;
+  t.uf_parent.(id) <- id;
+  t.v_node.(id) <- node;
   t.nverts <- id + 1;
   t.n_verts_live <- t.n_verts_live + 1;
   id
+
+(* Append [e]. A full array first drops its dead edges in place,
+   keeping the survivors in creation order, and grows only if at least
+   half of them are live, so dead edges cost no memory for long and
+   every push stays amortised O(1). *)
+let push_edge t e =
+  if t.nedges = Array.length t.edges then begin
+    let n = ref 0 in
+    for i = 0 to t.nedges - 1 do
+      let f = t.edges.(i) in
+      if not f.e_dead then begin
+        t.edges.(!n) <- f;
+        incr n
+      end
+    done;
+    Array.fill t.edges !n (t.nedges - !n) e;
+    t.nedges <- !n;
+    if 2 * !n >= Array.length t.edges then
+      t.edges <- resized t.edges (max 16 (2 * Array.length t.edges)) e
+  end;
+  t.edges.(t.nedges) <- e;
+  t.nedges <- t.nedges + 1
+
+(* The live edges, newest first. *)
+let live_edge_list t =
+  let acc = ref [] in
+  for i = 0 to t.nedges - 1 do
+    let e = t.edges.(i) in
+    if not e.e_dead then acc := e :: !acc
+  done;
+  !acc
 
 let narrow_window t vx i =
   match vx.v_kind with
@@ -156,7 +239,7 @@ let add_edge t (va, ia) (vb, ib) =
   in
   t.n_edges_created <- t.n_edges_created + 1;
   t.n_edges_live <- t.n_edges_live + 1;
-  t.all_edges <- e :: t.all_edges;
+  push_edge t e;
   narrow_window t xa ia;
   narrow_window t xb ib;
   slot_add xa ia e;
@@ -209,17 +292,16 @@ let do_merge ?why t ~keep ~absorb ~shift =
     xk.whi <- min xk.whi (xa.whi - shift);
     if xk.wlo > xk.whi then
       fail "merging %d into %d leaves no feasible port offset" absorb keep;
-    (* Re-home every edge of [absorb]; the absorbed vertex's slot array
-       is dropped outright so long-dead replicates cost no memory on
-       data-center-scale runs (only canonical vertices carry slots). *)
-    let a_slots = xa.slots and a_base = xa.s_base in
-    xa.slots <- [||];
-    for idx = 0 to Array.length a_slots - 1 do
-      let i = idx - a_base in
-      rehome t ~keep ~absorb xk i (i + shift) a_slots.(idx)
+    (* Re-home every edge of [absorb], then release its record: on
+       data-center-scale runs nearly every vertex is a replicate that
+       merges away, and only canonical vertices need one. *)
+    for idx = 0 to Array.length xa.slots - 1 do
+      let i = idx - xa.s_base in
+      rehome t ~keep ~absorb xk i (i + shift) xa.slots.(idx)
     done;
-    xa.parent <- keep;
-    xa.pshift <- shift;
+    t.verts.(absorb) <- t.released;
+    t.uf_parent.(absorb) <- keep;
+    t.uf_shift.(absorb) <- shift;
     t.n_verts_live <- t.n_verts_live - 1;
     if Why.on () then begin
       let did =
@@ -348,9 +430,18 @@ let create ~mapper_name ~radix =
       m_radix = radix;
       verts = [||];
       nverts = 0;
+      released = { (record ~radix (-1) Vswitch) with dead = true };
+      uf_parent = [||];
+      uf_shift = [||];
+      v_node = [||];
+      pf_up = Array.make 16 0;
+      pf_turn = Array.make 16 0;
+      pf_len = Array.make 16 0;
+      nnodes = 1;
       host_names = Hashtbl.create 64;
       mergelist = Queue.create ();
-      all_edges = [];
+      edges = [||];
+      nedges = 0;
       n_edges_created = 0;
       n_edges_live = 0;
       n_verts_live = 0;
@@ -358,8 +449,8 @@ let create ~mapper_name ~radix =
       m_root_switch = 1;
     }
   in
-  let h = alloc t (Vhost mapper_name) [] in
-  let s = alloc t Vswitch [] in
+  let h = alloc t (Vhost mapper_name) 0 in
+  let s = alloc t Vswitch 0 in
   assert (h = 0 && s = 1);
   Hashtbl.replace t.host_names mapper_name h;
   (* The mapper's single cable necessarily leads to a switch; the
@@ -393,7 +484,7 @@ let create ~mapper_name ~radix =
 let add_switch_vertex t ~parent ~turn ~probe =
   let p = root t parent in
   let s = shift_to t parent p in
-  let child = alloc t Vswitch probe in
+  let child = alloc t Vswitch (probe_node t ~parent ~turn probe) in
   add_edge t (p, turn + s) (child, 0);
   if Why.on () then begin
     let did =
@@ -415,7 +506,7 @@ let add_switch_vertex t ~parent ~turn ~probe =
 let add_host_vertex t ~parent ~turn ~probe ~name =
   let p = root t parent in
   let s = shift_to t parent p in
-  let child = alloc t (Vhost name) probe in
+  let child = alloc t (Vhost name) (probe_node t ~parent ~turn probe) in
   add_edge t (p, turn + s) (child, 0);
   if Why.on () then begin
     let did =
@@ -454,8 +545,19 @@ let add_host_vertex t ~parent ~turn ~probe ~name =
   run_merge_loop t;
   child
 
-let kind t v = (vertex t v).v_kind
-let probe_string t v = (vertex t v).v_probe
+let kind t v = (vertex t (canonical t v)).v_kind
+
+let vnode t v =
+  if v < 0 || v >= t.nverts then fail "no vertex %d" v;
+  t.v_node.(v)
+
+let probe_length t v = t.pf_len.(vnode t v)
+
+let rec probe_chain t n acc =
+  if n = 0 then acc else probe_chain t t.pf_up.(n) (t.pf_turn.(n) :: acc)
+
+let probe_string t v = probe_chain t (vnode t v) []
+let child_probe t v ~turn = probe_chain t (vnode t v) [ turn ]
 let is_explored t v = (vertex t (canonical t v)).explored
 let set_explored t v = (vertex t (canonical t v)).explored <- true
 let is_live t v = not (vertex t (canonical t v)).dead
@@ -463,6 +565,20 @@ let is_live t v = not (vertex t (canonical t v)).dead
 let slot_occupied t v i = has_live (slot_get (vertex t (root t v)) i)
 
 let turn_slot t v turn = turn + frame_shift t v
+
+type turn_state = Wired | Open | Beyond_window
+
+let admits t xc slot = xc.wlo + slot <= t.m_radix - 1 && xc.whi + slot >= 0
+
+(* Every edge narrowed the window to offsets under which its slot is a
+   real port, so a wired slot is never beyond the window. *)
+let turn_state t v ~turn =
+  let c = root t v in
+  let xc = t.verts.(c) in
+  let slot = turn + shift_to t v c in
+  if has_live (slot_get xc slot) then Wired
+  else if admits t xc slot then Open
+  else Beyond_window
 
 let neighbor_end_via t v ~slot =
   let c = root t v in
@@ -484,9 +600,7 @@ let offset_window t v =
   let xc = vertex t (root t v) in
   (xc.wlo, xc.whi)
 
-let window_admits t v ~slot =
-  let xc = vertex t (root t v) in
-  xc.wlo + slot <= t.m_radix - 1 && xc.whi + slot >= 0
+let window_admits t v ~slot = admits t (vertex t (root t v)) slot
 
 let incident_edges t c =
   let xc = vertex t (canonical t c) in
@@ -534,7 +648,7 @@ let kill_root_switch t =
    case: there any switch-switch cable, bridge or not, separates the
    entire component from all hosts. *)
 let prune t =
-  let live = List.filter (fun e -> not e.e_dead) t.all_edges in
+  let live = live_edge_list t in
   if live <> [] then begin
     let earr = Array.of_list live in
     let edge_u = Array.map (fun e -> e.ea) earr in
@@ -554,8 +668,7 @@ let prune t =
        cable, as the per-edge formulation produced. *)
     let groups = Hashtbl.create 8 in
     for v = t.nverts - 1 downto 0 do
-      let xv = t.verts.(v) in
-      if in_f.(v) && xv.parent = v && not xv.dead then
+      if in_f.(v) && t.uf_parent.(v) = v && not t.verts.(v).dead then
         Hashtbl.replace groups sep.(v)
           (v :: Option.value ~default:[] (Hashtbl.find_opt groups sep.(v)))
     done;
@@ -597,8 +710,7 @@ let live_edges t = t.n_edges_live
 let live_canonicals t =
   let acc = ref [] in
   for v = t.nverts - 1 downto 0 do
-    let xv = t.verts.(v) in
-    if xv.parent = v && not xv.dead then acc := v :: !acc
+    if t.uf_parent.(v) = v && not t.verts.(v).dead then acc := v :: !acc
   done;
   !acc
 
@@ -642,15 +754,17 @@ let to_graph t =
   let base v = Option.value ~default:0 (Hashtbl.find_opt base_of v) in
   List.iter
     (fun e ->
-      if not e.e_dead then begin
-        let na = Hashtbl.find node_of e.ea and nb = Hashtbl.find node_of e.eb in
-        Graph.connect g (na, e.ia - base e.ea) (nb, e.ib - base e.eb)
-      end)
-    t.all_edges;
+      let na = Hashtbl.find node_of e.ea and nb = Hashtbl.find node_of e.eb in
+      Graph.connect g (na, e.ia - base e.ea) (nb, e.ib - base e.eb))
+    (live_edge_list t);
   g
 
 let check_invariants t =
   try
+    for v = 0 to t.nverts - 1 do
+      if (t.uf_parent.(v) = v) = (t.verts.(v) == t.released) then
+        fail "vertex %d: record kept or released out of step with its merge" v
+    done;
     List.iter
       (fun v ->
         let xv = vertex t v in
@@ -671,24 +785,23 @@ let check_invariants t =
               l)
           xv.slots)
       (live_canonicals t);
-    let live_count = ref 0 in
+    let live = live_edge_list t in
     List.iter
       (fun e ->
-        if not e.e_dead then begin
-          incr live_count;
-          let check_end (v, i) =
-            let xv = vertex t v in
-            if xv.parent <> v then fail "edge %d endpoint %d not canonical" e.eid v;
-            if xv.dead then fail "edge %d endpoint %d is dead" e.eid v;
-            if not (List.memq e (slot_get xv i)) then
-              fail "edge %d missing from slot (%d,%d)" e.eid v i
-          in
-          check_end (e.ea, e.ia);
-          check_end (e.eb, e.ib)
-        end)
-      t.all_edges;
-    if !live_count <> t.n_edges_live then
-      fail "live edge counter %d vs actual %d" t.n_edges_live !live_count;
+        let check_end (v, i) =
+          if t.uf_parent.(v) <> v then
+            fail "edge %d endpoint %d not canonical" e.eid v;
+          let xv = vertex t v in
+          if xv.dead then fail "edge %d endpoint %d is dead" e.eid v;
+          if not (List.memq e (slot_get xv i)) then
+            fail "edge %d missing from slot (%d,%d)" e.eid v i
+        in
+        check_end (e.ea, e.ia);
+        check_end (e.eb, e.ib))
+      live;
+    if List.length live <> t.n_edges_live then
+      fail "live edge counter %d vs actual %d" t.n_edges_live
+        (List.length live);
     if List.length (live_canonicals t) <> t.n_verts_live then
       fail "live vertex counter mismatch";
     Ok ()

@@ -54,14 +54,18 @@ val radix : t -> int
 val add_switch_vertex : t -> parent:vid -> turn:int -> probe:San_simnet.Route.t -> vid
 (** Record a successful switch-probe: a fresh switch vertex joined to
     [(parent, turn)]. Runs any merge deductions the new edge enables
-    (a slot conflict at the parent). *)
+    (a slot conflict at the parent). When [probe] is
+    [probe_string t parent @ [turn]] (as {!child_probe} builds it) the
+    new vertex's probe shares the parent's in storage; any other
+    [probe] is stored as given. *)
 
 val add_host_vertex :
   t -> parent:vid -> turn:int -> probe:San_simnet.Route.t -> name:string -> vid
 (** Record a successful host-probe. If a host vertex with this name
     already exists the two are unified (hosts are unique), and the
     merge loop runs to stabilisation — identity information propagates
-    backwards exactly as in §3.2.4. *)
+    backwards exactly as in §3.2.4. [probe] is stored as for
+    {!add_switch_vertex}. *)
 
 (** {1 Interrogation} *)
 
@@ -75,7 +79,15 @@ val frame_shift : t -> vid -> int
 
 val kind : t -> vid -> vkind
 val probe_string : t -> vid -> San_simnet.Route.t
-(** The probe that created this particular vertex (not its class). *)
+(** The probe that created this particular vertex (not its class),
+    built afresh on each call. *)
+
+val probe_length : t -> vid -> int
+(** [List.length (probe_string t v)], in O(1). *)
+
+val child_probe : t -> vid -> turn:int -> San_simnet.Route.t
+(** [probe_string t v @ [turn]], built in one pass: the probe that
+    reaches past [v] through [turn]. *)
 
 val is_explored : t -> vid -> bool
 (** Whether any member of the class has been explored. *)
@@ -92,6 +104,16 @@ val slot_occupied : t -> vid -> int -> bool
 val turn_slot : t -> vid -> int -> int
 (** Canonical slot addressed by probing [turn] out of vertex [v]:
     [turn + frame_shift t v]. *)
+
+type turn_state =
+  | Wired  (** the slot already holds an edge ({!slot_occupied}) *)
+  | Open  (** vacant, and a real port for some feasible offset *)
+  | Beyond_window  (** no feasible offset makes it a real port *)
+
+val turn_state : t -> vid -> turn:int -> turn_state
+(** What the model knows of the slot [turn] addresses out of [v], with
+    the class resolved once. A wired slot always lies inside the
+    window, so [Wired] means {!window_admits} too. *)
 
 val neighbor_via : t -> vid -> turn:int -> vid option
 (** The vertex on the far side of the (unique, post-stabilisation) edge
@@ -154,4 +176,5 @@ val live_edges : t -> int
 val check_invariants : t -> (unit, string) result
 (** Structural self-check used by property tests: slot tables and edge
     endpoints agree, no dead edge is referenced, windows are
-    non-empty, merged vertices resolve to live representatives. *)
+    non-empty, merged vertices resolve to live representatives and
+    only canonical vertices keep a record. *)

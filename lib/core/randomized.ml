@@ -11,6 +11,7 @@ type result = {
   elapsed_ns : float;
   created_vertices : int;
   live_vertices : int;
+  model : Model.t;
 }
 
 let total_probes r = r.host_probes + r.switch_probes
@@ -114,4 +115,5 @@ let run ?(policy = Berkeley.faithful) ?(depth = Berkeley.Oracle)
     elapsed_ns = !elapsed;
     created_vertices = Model.created_vertices model;
     live_vertices = Model.live_vertices model;
+    model;
   }

@@ -29,6 +29,7 @@ type result = {
   elapsed_ns : float;
   created_vertices : int;
   live_vertices : int;
+  model : Model.t;  (** the pruned model the map was read from *)
 }
 
 val total_probes : result -> int

@@ -125,15 +125,14 @@ let run ?(seed = 0) ?root ?mappers ?responding ?policy ?params ?traffic
              let expand =
                if plan.Region.exact_depth then None
                else
+                 let module Worm = San_simnet.Worm in
+                 let w = Worm.walker () in
                  Some
                    (fun path ->
-                     match
-                       (San_simnet.Worm.eval gk ~src:sp.Region.mapper
-                          ~turns:path)
-                         .San_simnet.Worm.outcome
-                     with
-                     | San_simnet.Worm.Stranded v ->
-                       scopes.(sp.Region.idx).(v)
+                     Worm.walk w gk ~src:sp.Region.mapper ~turns:path;
+                     match Worm.ending w with
+                     | Worm.Stopped_at_switch ->
+                       scopes.(sp.Region.idx).(Worm.at w)
                      | _ -> false)
              in
              let cost_before = San_obs.Digest.copy (probe_cost_hist ()) in

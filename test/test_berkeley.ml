@@ -267,9 +267,24 @@ let model_invariants_prop =
           [ Model.root_switch model ]
       in
       let after_explore = Model.check_invariants model in
+      (* The skip predicates resolve the class once; they must agree
+         with the slot and window queries they stand for. *)
+      let same_answers = ref true in
+      for v = 0 to Model.created_vertices model - 1 do
+        List.iter
+          (fun turn ->
+            let slot = Model.turn_slot model v turn in
+            if
+              Probe_order.already_known model v ~turn
+              <> Model.slot_occupied model v slot
+              || Probe_order.provably_illegal model v ~turn
+                 <> not (Model.window_admits model v ~slot)
+            then same_answers := false)
+          (Probe_order.turn_order ~radix:(Graph.radix g))
+      done;
       Model.prune model;
       let after_prune = Model.check_invariants model in
-      after_explore = Ok () && after_prune = Ok ())
+      !same_answers && after_explore = Ok () && after_prune = Ok ())
 
 (* ---------- pinned mapping outputs ---------- *)
 
@@ -359,6 +374,65 @@ let test_pinned_why_ledger () =
   Alcotest.(check string) "ledger md5" "5ad5084e5c20a52da203aa0279ae3668"
     (Digest.to_hex (Digest.string text))
 
+(* A seeded map's model, kept for inspection: what [Berkeley.run] does,
+   from the first host. *)
+let mapped_model g =
+  let net = Network.create g in
+  let mapper = List.hd (Graph.hosts g) in
+  let depth_used = Berkeley.resolve_depth net ~mapper Berkeley.Oracle in
+  let model =
+    Model.create ~mapper_name:(Graph.name g mapper) ~radix:(Graph.radix g)
+  in
+  let explorations, elapsed, trace =
+    Berkeley.explore_from ~policy:Berkeley.faithful ~depth_used
+      ~record_trace:false net ~mapper model [ Model.root_switch model ]
+  in
+  ignore (Berkeley.finish ~model ~explorations ~elapsed ~depth_used ~trace net);
+  model
+
+let probe_digest model =
+  let b = Buffer.create 4096 in
+  for v = 0 to Model.created_vertices model - 1 do
+    Buffer.add_string b (Route.to_string (Model.probe_string model v));
+    Buffer.add_char b '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Every vertex's probe string, recorded from the model that kept one
+   list per vertex. The randomized run splices 2000 coupon paths into a
+   hypercube; some of its vertices are created by probes that do not
+   extend their parent vertex's probe, so both storage cases are
+   covered. *)
+let test_pinned_probe_strings () =
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string) (name ^ " probe strings") digest
+        (probe_digest (mapped_model (fabric_preset name ()))))
+    [
+      ("ft-100", "d9dfc4f9afe0ed017bb8a2a291855211");
+      ("now-cab", "f8da09f92541b38b06e910d51dcb8d09");
+    ];
+  let g = Generators.hypercube ~dim:4 () in
+  let r =
+    Randomized.run ~samples:2000 ~rng:(San_util.Prng.create 3)
+      (Network.create g) ~mapper:(List.hd (Graph.hosts g))
+  in
+  Alcotest.(check int) "randomized vertices" 80
+    (Model.created_vertices r.Randomized.model);
+  Alcotest.(check string) "randomized probe strings"
+    "2558dd1c7aa3c06d6bb7d85ef5443cf1" (probe_digest r.Randomized.model)
+
+(* The model's footprint after a seeded ft-100 map, ledger off: 15,366
+   words with probe strings as one shared forest, merged-away vertex
+   records released and dead edges dropped; 31,137 words when every
+   vertex kept its own probe list and record and every dead edge
+   stayed listed. *)
+let test_model_footprint () =
+  let model = mapped_model (fabric_preset "ft-100" ()) in
+  let words = Obj.reachable_words (Obj.repr model) in
+  if words > 16_000 then
+    Alcotest.failf "ft-100 model holds %d words, over the 16,000 bound" words
+
 let test_pinned_merge_counter () =
   List.iter
     (fun (name, merges) ->
@@ -424,5 +498,7 @@ let () =
         @ [
             Alcotest.test_case "now-cab why-ledger" `Quick test_pinned_why_ledger;
             Alcotest.test_case "merge counter" `Quick test_pinned_merge_counter;
+            Alcotest.test_case "probe strings" `Quick test_pinned_probe_strings;
+            Alcotest.test_case "model footprint" `Quick test_model_footprint;
           ] );
     ]

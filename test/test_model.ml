@@ -200,6 +200,40 @@ let test_to_graph_rejects_conflict () =
        false
      with Model.Inconsistent _ -> true)
 
+(* A vertex's probe string reads back exactly as it was given, whether
+   it extends the parent vertex's probe (stored shared with it), repeats
+   the parent's prefix but ends on another turn (a spliced path entering
+   the parent at a non-zero slot), or shares nothing with it. *)
+let test_probe_strings () =
+  let m = Model.create ~mapper_name:"root" ~radix:8 in
+  let s = Model.root_switch m in
+  let child parent turn probe =
+    Model.add_switch_vertex m ~parent ~turn ~probe
+  in
+  let a = child s 1 (Model.child_probe m s ~turn:1) in
+  let b = child a 2 (Model.child_probe m a ~turn:2) in
+  let c = child b 3 [ 1; 2; -3 ] in
+  let d = child b 4 [ 5; -1; 4 ] in
+  let h =
+    Model.add_host_vertex m ~parent:d ~turn:1 ~probe:[ 5; -1; 4; 1 ] ~name:"h"
+  in
+  List.iter
+    (fun (what, v, probe) ->
+      Alcotest.(check (list int))
+        (what ^ " probe") probe (Model.probe_string m v);
+      Alcotest.(check int) (what ^ " length") (List.length probe)
+        (Model.probe_length m v))
+    [
+      ("root switch", s, []);
+      ("extending", a, [ 1 ]);
+      ("extending twice", b, [ 1; 2 ]);
+      ("other last turn", c, [ 1; 2; -3 ]);
+      ("unrelated", d, [ 5; -1; 4 ]);
+      ("extending an unrelated one", h, [ 5; -1; 4; 1 ]);
+    ];
+  Alcotest.(check (list int))
+    "child probe" [ 1; 2; 3 ] (Model.child_probe m b ~turn:3)
+
 let test_probe_order () =
   Alcotest.(check (list int)) "alternating magnitudes"
     [ 1; -1; 2; -2; 3; -3 ]
@@ -241,6 +275,7 @@ let () =
           Alcotest.test_case "export normalises" `Quick test_to_graph_normalises;
           Alcotest.test_case "export rejects conflict" `Quick
             test_to_graph_rejects_conflict;
+          Alcotest.test_case "probe strings" `Quick test_probe_strings;
         ] );
       ("probe_order", [ Alcotest.test_case "heuristics" `Quick test_probe_order ]);
     ]
